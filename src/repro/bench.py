@@ -7,11 +7,13 @@ scheduler quantum loops, and a full service-creation round trip.  Every
 experiment pays these costs, so regressions here slow the whole repo down.
 
 ``python -m repro.bench`` runs every bench several times and appends one
-entry (min/median wall-clock per bench, plus the capturing git commit) to
-``BENCH_simulator.json``.  The file accumulates a trajectory across PRs::
+entry (min/median wall-clock per bench, plus the capturing git commit and
+the host's core count) to ``BENCH_simulator.json``.  The file accumulates
+a trajectory across PRs::
 
     {"schema": 1, "entries": [
-        {"label": "...", "python": "3.11.7", "commit": "abc1234", "results": {
+        {"label": "...", "python": "3.11.7", "commit": "abc1234", "nproc": 2,
+         "results": {
             "kernel_event_throughput": {"min_s": ..., "median_s": ..., "rounds": 5},
             ...}},
         ...]}
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -295,8 +298,6 @@ def bench_federated_parallel_throughput() -> Dict[str, float]:
     across all arms is asserted, so every arm does identical
     simulation work.
     """
-    import os
-
     from repro.experiments.federation_scale import build_topology
     from repro.obs.federation import FederationObservability
     from repro.sim.parallel import run_federation
@@ -325,10 +326,7 @@ def bench_federated_parallel_throughput() -> Dict[str, float]:
     )
     assert observed.digest_sha == serial.digest_sha, "obs perturbed the digest"
     four = runs[4]
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
+    cores = _nproc()
     return {
         "requests": serial.total_requests,
         "epochs": serial.epochs,
@@ -370,6 +368,14 @@ BENCHES: Dict[str, tuple] = {
 # ---------------------------------------------------------------------------
 # Harness.
 # ---------------------------------------------------------------------------
+
+def _nproc() -> int:
+    """Cores this process may run on (what ``nproc`` prints)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
 
 def _git_commit() -> Optional[str]:
     """Short hash of HEAD (with ``+dirty`` when the tree has changes)."""
@@ -473,6 +479,8 @@ def validate_history(history: Dict[str, object]) -> List[str]:
             problems.append(f"{where}.python must be a string")
         if "commit" in entry and not isinstance(entry["commit"], (str, type(None))):
             problems.append(f"{where}.commit must be a string or null")
+        if "nproc" in entry and not isinstance(entry["nproc"], int):
+            problems.append(f"{where}.nproc must be an integer")
         results = entry.get("results")
         if not isinstance(results, dict) or not results:
             problems.append(f"{where}.results must be a non-empty object")
@@ -634,6 +642,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "commit": _git_commit(),
+        "nproc": _nproc(),
         "results": results,
     }
     width = max(len(n) for n in results)

@@ -22,7 +22,7 @@ arrival, departure, and cap change.  The allocator is now incremental
 and batched:
 
 * Mutations only mark the LAN dirty; one flush — scheduled at the same
-  instant with URGENT priority via ``Simulator.call_soon`` — drains the
+  instant with URGENT priority, like ``Simulator.call_soon`` — drains the
   fluid state and recomputes rates once for all mutations made before
   the flush fires.  Because the flush runs at URGENT priority, it sorts
   ahead of same-instant NORMAL-priority events: a mutation made by a
@@ -43,6 +43,41 @@ and batched:
   every other flow, and the wire group (all flows sharing the LAN
   segment) is only re-filled when a *wire* flow arrives, departs, or
   changes cap — loopback churn never triggers a max-min pass.
+
+Cap-only fill
+-------------
+The testbed's NICs all run at the segment rate (100 Mbps), and then the
+NIC terms of the fill never bind.  The guard is read off the topology:
+the slowest NIC attached (tracked by :meth:`LAN.nic`, and by
+:meth:`LAN.transfer` for a NIC built elsewhere) is at least as fast as
+the segment, and no stall or partition is armed.  Under it,
+every NIC's residual stays ``>=`` the segment's residual: both start
+that way, each fixed flow subtracts the same ``limit`` from the segment
+and from its own NICs (other flows only shrink the segment), and IEEE-754
+subtraction, clamping at zero and division are monotone.  A NIC carries
+``k <= n`` of the ``n`` unfixed wire flows, so ``nic_res / k >= lan_res
+/ n`` bit for bit, and ``min(cap, lan share, src share, dst share)``
+equals ``min(cap, lan share)`` exactly.  The pass then skips the per-NIC
+residual/count tables and two of the four shares per flow per round; it
+runs the same rounds, fixes flows in the same order and makes the same
+clamped segment subtractions, so every rate is identical.  A slower NIC
+attached mid-run, a bandwidth raised past the slowest NIC, or any fault
+switches the next flush back to the NIC-aware pass.  The vectorized
+path for wide groups (``VECTORIZE_MIN_FLOWS``) is unchanged.
+
+Heap entries
+------------
+The flush and the completion wake-up are pushed as direct-resume heap
+entries whose owners (one ``_CallbackShim`` for the flush, one
+``_WakeShim`` for the wake-up, which reads its generation from the
+entry's value slot) live as long as the LAN, so neither allocates an
+event or closure per push.  Each entry takes the ``(time, priority,
+seq)`` key the ``call_soon`` callback or ``Timeout`` it replaced would
+have taken, so firing order is unchanged.  LAN and kernel optimizations
+must also keep the *number* of heap pushes: ``Simulator.events_scheduled``
+is hashed into the federation digest (``ClusterShard.digest``), so
+cutting a push (delivering ``done`` without its latency ``Timeout``,
+say) changes pinned digests and needs its references re-recorded.
 
 Fault hooks
 -----------
@@ -70,7 +105,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 import numpy as np
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import NORMAL, URGENT, Event, Simulator, _CallbackShim
 
 __all__ = ["NetworkInterface", "Flow", "LAN"]
 
@@ -94,8 +129,8 @@ class NetworkInterface:
     __slots__ = ("name", "rate_mbps", "rate_mbs")
 
     def __init__(self, name: str, rate_mbps: float):
-        if rate_mbps <= 0:
-            raise ValueError(f"NIC rate must be positive, got {rate_mbps}")
+        if not 0 < rate_mbps < math.inf:
+            raise ValueError(f"NIC rate must be positive and finite, got {rate_mbps}")
         self.name = name
         self.rate_mbps = rate_mbps
         # Capacity in megabytes per second (cached: read in the
@@ -155,8 +190,7 @@ class Flow:
 
     def set_rate_cap(self, rate_cap_mbps: Optional[float]) -> None:
         """Change the cap mid-flight (used by dynamic traffic shaping)."""
-        if rate_cap_mbps is not None and rate_cap_mbps <= 0:
-            raise ValueError(f"rate cap must be positive, got {rate_cap_mbps}")
+        _check_rate_cap(rate_cap_mbps)
         self.rate_cap_mbps = rate_cap_mbps
         self._cap_mbs = math.inf if rate_cap_mbps is None else rate_cap_mbps / 8.0
         self.lan._mark_dirty(wire=not self._loopback, loopback=self._loopback)
@@ -179,18 +213,44 @@ class Flow:
         )
 
 
+def _check_bandwidth(bandwidth_mbps: float) -> None:
+    if not 0 < bandwidth_mbps < math.inf:
+        raise ValueError(f"LAN bandwidth must be positive and finite, got {bandwidth_mbps}")
+
+
+def _check_rate_cap(rate_cap_mbps: Optional[float]) -> None:
+    if rate_cap_mbps is not None and not 0 < rate_cap_mbps < math.inf:
+        raise ValueError(f"rate cap must be positive and finite, got {rate_cap_mbps}")
+
+
+class _WakeShim(_CallbackShim):
+    """Owner of the LAN's completion wake-up heap entries.
+
+    One per LAN.  Each armed wake-up carries its generation in the heap
+    entry's value slot, so arming one allocates nothing but the entry.
+    """
+
+    __slots__ = ()
+
+    def _resume_direct(self, ok: object, generation: object, exception: object) -> None:
+        self._callback(generation)
+
+
 class LAN:
     """The shared network segment connecting all HUP hosts and clients."""
 
     def __init__(self, sim: Simulator, bandwidth_mbps: float = 100.0, latency_s: float = 0.0002):
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"LAN bandwidth must be positive, got {bandwidth_mbps}")
-        if latency_s < 0:
-            raise ValueError(f"latency must be non-negative, got {latency_s}")
+        _check_bandwidth(bandwidth_mbps)
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(f"latency must be non-negative and finite, got {latency_s}")
         self.sim = sim
         self.bandwidth_mbps = bandwidth_mbps
         self.latency_s = latency_s
         self._nics: Dict[str, NetworkInterface] = {}
+        # Slowest NIC that can carry wire traffic here.  While it is at
+        # least the segment rate (and no fault is armed), the max-min
+        # fill can skip the NIC terms (see _compute_wire_rates).
+        self._nic_floor_mbps = math.inf
         self._flows: List[Flow] = []  # all active flows, arrival order
         self._wire: List[Flow] = []  # non-loopback active flows, arrival order
         # Per-NIC active (non-loopback) flow sets, maintained on
@@ -200,6 +260,9 @@ class LAN:
         self._last_update = sim.now
         self._wake_generation = 0
         self._flush_pending = False
+        # Heap-entry owners reused for every flush and wake-up push.
+        self._flush_shim = _CallbackShim(self._flush)
+        self._wake_shim = _WakeShim(self._on_wake)
         self._wire_dirty = False
         self._loopback_dirty = False
         # Fault state: stalled NICs carry no wire traffic; a partition
@@ -255,6 +318,8 @@ class LAN:
             raise ValueError(f"unknown NIC {name!r} and no rate given")
         nic = NetworkInterface(name, rate_mbps)
         self._nics[name] = nic
+        if rate_mbps < self._nic_floor_mbps:
+            self._nic_floor_mbps = rate_mbps
         return nic
 
     @property
@@ -315,8 +380,7 @@ class LAN:
 
     def set_bandwidth(self, bandwidth_mbps: float) -> None:
         """Change the shared segment capacity mid-run (LAN degradation)."""
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"LAN bandwidth must be positive, got {bandwidth_mbps}")
+        _check_bandwidth(bandwidth_mbps)
         if bandwidth_mbps != self.bandwidth_mbps:
             self.bandwidth_mbps = bandwidth_mbps
             self._mark_dirty(wire=True)
@@ -340,10 +404,9 @@ class LAN:
         label: str = "",
     ) -> Flow:
         """Start a transfer; ``flow.done`` fires on completion."""
-        if size_mb <= 0:
-            raise ValueError(f"transfer size must be positive, got {size_mb}")
-        if rate_cap_mbps is not None and rate_cap_mbps <= 0:
-            raise ValueError(f"rate cap must be positive, got {rate_cap_mbps}")
+        if not 0 < size_mb < math.inf:
+            raise ValueError(f"transfer size must be positive and finite, got {size_mb}")
+        _check_rate_cap(rate_cap_mbps)
         flow = Flow(self, src, dst, size_mb, rate_cap_mbps, label)
         registry = getattr(self.sim, "metrics", None)
         if registry is not None:
@@ -359,6 +422,10 @@ class LAN:
             # the flow for time before it existed.
             self._mark_dirty(loopback=True)
         else:
+            floor = self._nic_floor_mbps
+            if src.rate_mbps < floor or dst.rate_mbps < floor:
+                # A NIC built outside nic() (e.g. another LAN's).
+                self._nic_floor_mbps = min(src.rate_mbps, dst.rate_mbps)
             self._wire.append(flow)
             self._nic_flows.setdefault(src, set()).add(flow)
             self._nic_flows.setdefault(dst, set()).add(flow)
@@ -374,7 +441,7 @@ class LAN:
             self._loopback_dirty = True
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim.call_soon(self._flush)
+            self.sim._schedule_direct(self._flush_shim, URGENT)
 
     def _flush(self) -> None:
         """Drain, recompute affected groups, and re-arm the wake-up."""
@@ -450,6 +517,12 @@ class LAN:
         The per-NIC active-flow sets seed the residual/count tables, and
         the rounds iterate the wire list in arrival order, which keeps
         the allocation deterministic.
+
+        Cap-only fill: while every NIC is at least as fast as the segment
+        and no fault is armed, no NIC share can undercut the segment
+        share, so the rounds skip the NIC terms (and their tables) and
+        reduce to a water-fill over the caps — bit-identical rates, as
+        the module docstring argues.
         """
         wire = self._wire
         if not wire:
@@ -478,12 +551,15 @@ class LAN:
                     else:
                         count[nic] = 1
                         residual[nic] = nic.rate_mbs
+            nic_terms = True
         else:
-            residual = {}
-            count = {}
-            for nic, flows in self._nic_flows.items():
-                residual[nic] = nic.rate_mbs
-                count[nic] = len(flows)
+            nic_terms = self._nic_floor_mbps < self.bandwidth_mbps
+            if nic_terms or len(wire) >= VECTORIZE_MIN_FLOWS:
+                residual = {}
+                count = {}
+                for nic, flows in self._nic_flows.items():
+                    residual[nic] = nic.rate_mbs
+                    count[nic] = len(flows)
         if len(wire) >= VECTORIZE_MIN_FLOWS:
             # Large groups: same fill, vectorized (bit-identical rates).
             self._compute_wire_rates_vec(wire, residual, count)
@@ -494,20 +570,21 @@ class LAN:
             flow._fixed = False
         unfixed = len(wire)
         while unfixed:
+            lan_share = lan_residual / lan_count
             bottleneck = math.inf
             for flow in wire:
                 if flow._fixed:
                     continue
                 limit = flow._cap_mbs
-                share = lan_residual / lan_count
-                if share < limit:
-                    limit = share
-                share = residual[flow.src] / count[flow.src]
-                if share < limit:
-                    limit = share
-                share = residual[flow.dst] / count[flow.dst]
-                if share < limit:
-                    limit = share
+                if lan_share < limit:
+                    limit = lan_share
+                if nic_terms:
+                    share = residual[flow.src] / count[flow.src]
+                    if share < limit:
+                        limit = share
+                    share = residual[flow.dst] / count[flow.dst]
+                    if share < limit:
+                        limit = share
                 flow._limit = limit
                 if limit < bottleneck:
                     bottleneck = limit
@@ -527,13 +604,14 @@ class LAN:
                 if lan_residual < 0.0:
                     lan_residual = 0.0
                 lan_count -= 1
-                src, dst = flow.src, flow.dst
-                left = residual[src] - limit
-                residual[src] = left if left > 0.0 else 0.0
-                count[src] -= 1
-                left = residual[dst] - limit
-                residual[dst] = left if left > 0.0 else 0.0
-                count[dst] -= 1
+                if nic_terms:
+                    src, dst = flow.src, flow.dst
+                    left = residual[src] - limit
+                    residual[src] = left if left > 0.0 else 0.0
+                    count[src] -= 1
+                    left = residual[dst] - limit
+                    residual[dst] = left if left > 0.0 else 0.0
+                    count[dst] -= 1
             assert progressed, "progressive filling must fix at least one flow"
 
     def _vec_scratch(self, n_flows: int, n_nics: int) -> None:
@@ -637,8 +715,7 @@ class LAN:
                     next_completion = dt
         if math.isinf(next_completion):
             return
-        wake = self.sim.timeout(next_completion)
-        wake.callbacks.append(lambda _ev: self._on_wake(generation))
+        self.sim._schedule_direct(self._wake_shim, NORMAL, next_completion, generation)
 
     def _on_wake(self, generation: int) -> None:
         if generation != self._wake_generation:

@@ -37,6 +37,9 @@ allocations where the event machinery is pure plumbing:
   and the documented firing order is preserved bit-for-bit.
 * :class:`Timeout` schedules itself inline instead of going through the
   generic ``Event`` constructor plus :meth:`Simulator._schedule`.
+* A component that pushes the same callback over and over (the LAN's
+  flush and completion wake-up) keeps one direct-resume owner and
+  pushes it with :meth:`Simulator._schedule_direct`.
 """
 
 from __future__ import annotations
@@ -527,19 +530,33 @@ class Simulator:
             self._heap, (self._now, URGENT, self._seq, None, process, ok, value, exception)
         )
 
+    def _schedule_direct(
+        self, owner: Any, priority: int, delay: float = 0.0, value: Any = None
+    ) -> None:
+        """Schedule ``owner._resume_direct(True, value, None)`` ``delay`` from now.
+
+        The entry takes the next sequence number and the same
+        ``now + delay`` time as a :class:`Timeout` or :meth:`call_soon`
+        created at this point, so it sorts exactly where they would.
+        Hot-path components (the LAN's flush and completion wake-up)
+        keep one ``owner`` for their lifetime instead of allocating an
+        event or shim per push.
+        """
+        self._seq += 1
+        _heappush(
+            self._heap, (self._now + delay, priority, self._seq, None, owner, True, value, None)
+        )
+
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at the current instant with URGENT priority.
 
         The callback fires in ``(time, priority, sequence)`` order like
-        any event, after everything urgent already scheduled.  Used by
-        components (e.g. the LAN's batched rate recomputation) to
-        coalesce several same-instant mutations into one pass.
+        any event, after everything urgent already scheduled.  Lets a
+        component coalesce several same-instant mutations into one pass
+        (the LAN's batched rate recomputation does this through
+        :meth:`_schedule_direct` with an owner it reuses).
         """
-        self._seq += 1
-        _heappush(
-            self._heap,
-            (self._now, URGENT, self._seq, None, _CallbackShim(callback), True, None, None),
-        )
+        self._schedule_direct(_CallbackShim(callback), URGENT)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], priority: int = NORMAL

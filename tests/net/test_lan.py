@@ -1,5 +1,7 @@
 """Unit tests for the fluid-flow LAN model."""
 
+import math
+
 import pytest
 
 from repro.net.lan import LAN, NetworkInterface
@@ -240,6 +242,53 @@ def test_transfer_validation():
         lan.transfer(a, b, size_mb=-1)
     with pytest.raises(ValueError):
         lan.transfer(a, b, size_mb=1, rate_cap_mbps=0)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_lan_parameters_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="finite"):
+        LAN(sim, bandwidth_mbps=bad)
+    with pytest.raises(ValueError, match="finite"):
+        LAN(sim, latency_s=bad)
+    sim, lan = make_lan()
+    with pytest.raises(ValueError, match="finite"):
+        lan.set_bandwidth(bad)
+    assert lan.bandwidth_mbps == 100.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_nic_rate_rejected(bad):
+    sim, lan = make_lan()
+    with pytest.raises(ValueError, match="finite"):
+        lan.nic("a", bad)
+    with pytest.raises(ValueError, match="finite"):
+        NetworkInterface("x", bad)
+    with pytest.raises(ValueError, match="unknown NIC"):
+        lan.find_nic("a")  # nothing was attached
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_transfer_inputs_rejected(bad):
+    # A NaN-size or NaN-cap flow used to be accepted: it never completed
+    # and its rate was NaN.
+    sim, lan = make_lan(latency=0.1)
+    a, b = lan.nic("a", 100.0), lan.nic("b", 100.0)
+    with pytest.raises(ValueError, match="size must be positive and finite"):
+        lan.transfer(a, b, size_mb=bad)
+    with pytest.raises(ValueError, match="rate cap must be positive and finite"):
+        lan.transfer(a, b, size_mb=1.0, rate_cap_mbps=bad)
+    flow = lan.transfer(a, b, size_mb=1.25)
+    with pytest.raises(ValueError, match="rate cap must be positive and finite"):
+        flow.set_rate_cap(bad)
+    assert flow.rate_cap_mbps is None
+    # The rejections left no residue: the valid flow runs as usual.
+    sim.run()
+    assert flow.finished_at == pytest.approx(0.2)
+    assert not lan.active_flows
 
 
 def test_mean_rate_reported():
