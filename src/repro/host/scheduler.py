@@ -32,6 +32,8 @@ event kernel): Figure 5 is a closed experiment over a fixed horizon.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,12 +69,12 @@ class WorkloadSpec:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.run_quanta < 1:
-            raise ValueError(f"run_quanta must be >= 1, got {self.run_quanta}")
-        if self.block_s < 0:
-            raise ValueError(f"block_s must be >= 0, got {self.block_s}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not isinstance(self.run_quanta, numbers.Integral) or self.run_quanta < 1:
+            raise ValueError(f"run_quanta must be an integer >= 1, got {self.run_quanta!r}")
+        if not math.isfinite(self.block_s) or self.block_s < 0:
+            raise ValueError(f"block_s must be finite and >= 0, got {self.block_s}")
+        if not math.isfinite(self.jitter) or self.jitter < 0:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
     @staticmethod
     def cpu_hog() -> "WorkloadSpec":
@@ -101,8 +103,8 @@ class TaskGroup:
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ValueError(f"group {self.name!r} has no processes")
-        if self.tickets <= 0:
-            raise ValueError(f"tickets must be positive, got {self.tickets}")
+        if not math.isfinite(self.tickets) or self.tickets <= 0:
+            raise ValueError(f"tickets must be positive and finite, got {self.tickets}")
 
 
 class _Task:
@@ -114,17 +116,15 @@ class _Task:
         "spec",
         "counter",
         "burst_left",
-        "wake_time",
         "rng_name",
     )
 
     def __init__(self, group_index: int, spec: WorkloadSpec, task_id: int):
-        self.index = task_id  # position in the scheduler's task arrays
+        self.index = task_id  # position in the scheduler's task list
         self.group_index = group_index
         self.spec = spec
         self.counter = BASE_COUNTER
         self.burst_left = spec.run_quanta
-        self.wake_time = 0.0  # runnable when wake_time <= now
         self.rng_name = f"sched-task-{task_id}"
 
 
@@ -197,67 +197,59 @@ class _SchedulerBase:
     def run(self, horizon_s: float) -> SchedulerTrace:
         # The loop batches bookkeeping instead of redoing it every 10 ms
         # tick: the wake scan only runs when the earliest pending wake
-        # time is actually due, the runnable list is only rebuilt when
-        # the blocked set changed, fully idle stretches are filled in a
-        # tight inner loop, and the trace matrices are reconstructed
-        # from the per-quantum charge log after the loop.  Blocked-task
-        # state and the charge/time logs live in preallocated arrays
-        # keyed by task index / quantum number, so the loop chases no
-        # per-task Python objects for wake bookkeeping.  The pick /
-        # charge / wake sequence (and therefore the trace, including its
-        # float accumulation) is identical to the naive per-tick loop.
-        if horizon_s <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_s}")
+        # time is actually due, the runnable list is only rebuilt after
+        # a wake scan (a task that blocks is just removed from it), and
+        # fully idle stretches are filled in a tight inner loop.  Wake state is a plain list, one entry
+        # per task (``inf`` while the task is runnable): a task set has
+        # 4-11 processes, and at that size one Python scan of the list
+        # costs less than a single NumPy call, so masks, ``nonzero`` and
+        # reductions here would cost more than they save.  The loop logs
+        # only the group charged per quantum; the trace matrices are
+        # built from that log after the loop.  The time axis comes from
+        # ``np.cumsum`` of the quantum length, so every quantum, busy or
+        # idle, must advance ``now`` by exactly one ``QUANTUM_S``.  The
+        # pick / charge / wake sequence (and therefore the trace,
+        # including its float accumulation) is identical to the naive
+        # per-tick loop; tests/host/test_scheduler_reference.py holds
+        # that loop and compares bytes.
+        if not math.isfinite(horizon_s) or horizon_s <= 0:
+            raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
+        tasks = self.tasks
         n_groups = len(self.groups)
-        n_tasks = len(self.tasks)
         n_quanta = int(math.ceil(horizon_s / QUANTUM_S))
-        # Blocked bookkeeping, keyed by task index: a task is blocked
-        # iff blocked_mask[i]; its wake time sits in wake_buf[i].
-        wake_buf = np.full(n_tasks, math.inf)
-        blocked_mask = np.zeros(n_tasks, dtype=bool)
-        next_wake = math.inf
-        runnable: List[_Task] = list(self.tasks)
-        runnable_dirty = False
+        inf = math.inf
+        # wake_at[i]: when blocked task i becomes runnable (inf: runnable).
+        wake_at = [inf] * len(tasks)
+        next_wake = inf
+        runnable: List[_Task] = list(tasks)
         # charges[q] is the group index that consumed quantum q (-1: idle).
-        charges = np.empty(n_quanta, dtype=np.int64)
-        times = np.empty(n_quanta + 1)
-        times[0] = 0.0
+        charges = np.full(n_quanta, -1, dtype=np.int64)
 
         now = 0.0
         q = 0
         while q < n_quanta:
             if next_wake <= now + 1e-12:
-                # Wake every due task, in task order (as the per-tick
-                # scan did: nonzero yields ascending indices).
-                due = blocked_mask & (wake_buf <= now + 1e-12)
-                for i in np.nonzero(due)[0]:
-                    task = self.tasks[i]
-                    blocked_mask[i] = False
-                    wake_buf[i] = math.inf
-                    task.burst_left = task.spec.run_quanta
-                    self._woke(task, now)
-                still = wake_buf[blocked_mask]
-                next_wake = float(still.min()) if still.size else math.inf
-                runnable_dirty = True
-            if runnable_dirty:
-                if blocked_mask.any():
-                    runnable = [self.tasks[i] for i in np.nonzero(~blocked_mask)[0]]
-                else:
-                    runnable = list(self.tasks)
-                runnable_dirty = False
+                # Wake every due task, in task order, and find the next
+                # pending wake among those still blocked.
+                next_wake = inf
+                for i, wake in enumerate(wake_at):
+                    if wake <= now + 1e-12:
+                        wake_at[i] = inf
+                        task = tasks[i]
+                        task.burst_left = task.spec.run_quanta
+                        self._woke(task, now)
+                    elif wake < next_wake:
+                        next_wake = wake
+                runnable = [t for t, wake in zip(tasks, wake_at) if wake == inf]
             if not runnable:
                 # Idle stretch: nothing can run until the next wake.
                 # Advance quantum by quantum (keeping the repeated
                 # `now += QUANTUM_S` accumulation exact) but skip the
                 # pick/charge machinery entirely.
                 now += QUANTUM_S
-                times[q + 1] = now
-                charges[q] = -1
                 q += 1
                 while q < n_quanta and next_wake > now + 1e-12:
                     now += QUANTUM_S
-                    times[q + 1] = now
-                    charges[q] = -1
                     q += 1
                 continue
             chosen = self._pick(runnable, now)
@@ -270,15 +262,14 @@ class _SchedulerBase:
                     jitter = self.streams.lognormal_factor(
                         chosen.rng_name, chosen.spec.jitter
                     )
-                    chosen.wake_time = now + chosen.spec.block_s * jitter
-                    blocked_mask[chosen.index] = True
-                    wake_buf[chosen.index] = chosen.wake_time
-                    if chosen.wake_time < next_wake:
-                        next_wake = chosen.wake_time
-                    runnable_dirty = True
-            else:
-                charges[q] = -1
-            times[q + 1] = now
+                    # A wake time that overflows to inf never comes; the
+                    # largest finite float keeps the task blocked without
+                    # reading as the runnable marker.
+                    wake = min(now + chosen.spec.block_s * jitter, sys.float_info.max)
+                    wake_at[chosen.index] = wake
+                    if wake < next_wake:
+                        next_wake = wake
+                    runnable.remove(chosen)
             q += 1
 
         # Observability: the quantum loop has no simulator handle, so it
@@ -302,6 +293,11 @@ class _SchedulerBase:
                 ("scheduler",),
             ).inc(scheduler=self.name)
 
+        # np.cumsum accumulates left to right, so these are bit-for-bit
+        # the values the repeated `now += QUANTUM_S` in the loop took.
+        times = np.empty(n_quanta + 1)
+        times[0] = 0.0
+        times[1:] = np.cumsum(np.full(n_quanta, QUANTUM_S))
         cumulative = np.zeros((n_groups, n_quanta + 1))
         if n_quanta:
             for g in range(n_groups):
@@ -327,15 +323,22 @@ class VanillaLinuxScheduler(_SchedulerBase):
     name = "vanilla-linux"
 
     def _pick(self, runnable: List[_Task], now: float) -> Optional[_Task]:
-        with_counter = [t for t in runnable if t.counter > 0]
-        if not with_counter:
+        # Largest counter wins ("goodness"); ties by task order.
+        best: Optional[_Task] = None
+        best_counter = 0
+        for task in runnable:
+            if task.counter > best_counter:
+                best = task
+                best_counter = task.counter
+        if best is None:
             # Epoch end: recharge everyone (blocked tasks keep half their
             # leftover counter — the I/O boost).
             for task in self.tasks:
                 task.counter = task.counter // 2 + BASE_COUNTER
-            with_counter = runnable
-        # Largest counter wins ("goodness"); ties by task order.
-        return max(with_counter, key=lambda t: t.counter)
+            # Every runnable counter was 0 (counters never go negative),
+            # so all now read BASE_COUNTER and the first one wins.
+            best = runnable[0]
+        return best
 
     def _charged(self, task: _Task, now: float) -> None:
         task.counter = max(0, task.counter - 1)

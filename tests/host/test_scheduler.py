@@ -1,5 +1,7 @@
 """Unit tests for the CPU schedulers (Figure 5 substrate)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,39 @@ def test_workload_spec_validation():
         WorkloadSpec(run_quanta=1, block_s=0.1, jitter=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"run_quanta": 1, "block_s": math.nan},
+        {"run_quanta": 1, "block_s": math.inf},
+        {"run_quanta": 1, "block_s": 0.01, "jitter": math.nan},
+        {"run_quanta": 1, "block_s": 0.01, "jitter": math.inf},
+        {"run_quanta": 1.5, "block_s": 0.01},
+        {"run_quanta": 2.0, "block_s": 0.01},
+        {"run_quanta": math.nan, "block_s": 0.01},
+        {"run_quanta": math.inf, "block_s": 0.0},
+    ],
+)
+def test_workload_spec_rejects_non_finite_and_non_integer(kwargs):
+    with pytest.raises(ValueError):
+        WorkloadSpec(**kwargs)
+
+
+def test_workload_spec_accepts_numpy_integer_run_quanta():
+    assert WorkloadSpec(run_quanta=np.int64(3), block_s=0.01).run_quanta == 3
+
+
 def test_task_group_validation():
     with pytest.raises(ValueError):
         TaskGroup("g", [])
     with pytest.raises(ValueError):
         TaskGroup("g", [WorkloadSpec.cpu_hog()], tickets=0)
+
+
+@pytest.mark.parametrize("tickets", [math.nan, math.inf, -math.inf])
+def test_task_group_rejects_non_finite_tickets(tickets):
+    with pytest.raises(ValueError):
+        TaskGroup("g", [WorkloadSpec.cpu_hog()], tickets=tickets)
 
 
 def test_duplicate_group_names_rejected():
@@ -42,6 +72,9 @@ def test_horizon_validation():
     sched = VanillaLinuxScheduler([TaskGroup("g", [WorkloadSpec.cpu_hog()])])
     with pytest.raises(ValueError):
         sched.run(0)
+    for horizon_s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            sched.run(horizon_s)
 
 
 def test_single_cpu_hog_gets_everything():

@@ -10,18 +10,30 @@ substrate changes (set iteration order, batched recomputation, direct
 resume paths, idle-quantum batching) fails here before it can silently
 shift experiment numbers.
 
+The Figure 5 CPU scheduler traces are pinned to fixed digests rather
+than compared run against run, so a change to the quantum loop that
+moves any float fails here even if it is deterministic.
+
 The observability guard extends the same guarantee across the
 instrumentation boundary: with tracing + metrics + profiling fully
 enabled, both paths must stay bit-identical to a run with the stack
 disabled — `repro.obs` observes, never perturbs.
 """
 
+import hashlib
+
 import repro.experiments.fig4_loadbalance as fig4
 from repro.faults.chaos import run_chaos_scenario
+from repro.host.scheduler import (
+    ProportionalShareScheduler,
+    VanillaLinuxScheduler,
+    figure5_groups,
+)
 from repro.market import fast_params, run_market_scenario
 from repro.obs import FederationObservability, Observability
 from repro.scenario.library import get_scenario
 from repro.scenario.run import run_scenario
+from repro.sim import RandomStreams
 from repro.sim.parallel import run_federation
 from tests.sim.test_parallel import build_topology as build_federation
 from tests.sla.test_e2e import run_sla_scenario
@@ -218,3 +230,24 @@ def test_scenario_digest_unchanged_by_full_observability():
         observed = _scenario_digest("flash-crowd", 0)
     assert plain == observed
     assert len(hub.tracer.spans()) > 0
+
+
+# Digests of both Figure 5 scheduler traces (figure5 groups, seed 7,
+# 30 s).  A change to the quantum loop that alters any time-axis or
+# cumulative-share float changes them.
+SCHEDULER_TRACE_DIGESTS = {
+    VanillaLinuxScheduler: "b5f9ddf463a51324d8139c8a794eeb8090c1138a1d4bc9b73d8f01941d9f519f",
+    ProportionalShareScheduler: "5a54641a4ea5682f35e8b217941fe51e954111d7e40b05df0bc5a980a026dcfe",
+}
+
+
+def _scheduler_digest(cls):
+    trace = cls(figure5_groups(), RandomStreams(seed=7)).run(30.0)
+    return hashlib.sha256(
+        repr(trace.group_names).encode() + trace.times.tobytes() + trace.cumulative.tobytes()
+    ).hexdigest()
+
+
+def test_scheduler_trace_digests_pinned():
+    for cls, expected in SCHEDULER_TRACE_DIGESTS.items():
+        assert _scheduler_digest(cls) == expected, cls.__name__
