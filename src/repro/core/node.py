@@ -74,6 +74,20 @@ class Request:
         if self.response_mb < 0:
             raise ValueError(f"negative response size: {self.response_mb}")
 
+    def with_trace(self, trace: Any) -> "Request":
+        """A copy of this request carrying ``trace``.
+
+        Every other field was validated when this request was built, so
+        the copy takes the instance dict as is instead of re-running
+        ``__init__``/``__post_init__`` the way ``dataclasses.replace``
+        would — this runs once per traced request.
+        """
+        clone = object.__new__(type(self))
+        fields = clone.__dict__
+        fields.update(self.__dict__)
+        fields["trace"] = trace
+        return clone
+
 
 @dataclass(frozen=True)
 class NodeResponse:

@@ -54,7 +54,6 @@ which case the serving path is exactly the pre-failover one.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
 
 from repro.core.config import ServiceConfigFile
@@ -65,7 +64,7 @@ from repro.core.node import (
     ServiceUnavailableError,
     VirtualServiceNode,
 )
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import MetricsRegistry, registry_of
 from repro.obs.tracing import tracer_of
 from repro.core.policies import SwitchingPolicy, WeightedRoundRobinPolicy
 from repro.net.http import REQUEST_SIZE_MB
@@ -93,6 +92,102 @@ class _DispatchBatch:
         self.members: List[tuple] = []
         self.full: Event = Event(sim)
         self.closed = False
+
+
+class _SwitchMetrics:
+    """One switch's metric families in one registry, children bound lazily.
+
+    Each child is bound through the family's ``labels()`` the first time
+    the switch touches it — the moment a family-level ``inc(**labels)``
+    would have created it — so the exposition is unchanged, and every
+    later request pays a dict lookup instead of label validation.
+    """
+
+    __slots__ = (
+        "registry", "service", "_requests", "_latency", "_dispatch",
+        "_failovers", "_timeouts", "_tenant_requests",
+        "_by_outcome", "_latency_child", "_by_node", "_failover_child",
+        "_timeout_child", "_by_tenant_outcome",
+    )
+
+    def __init__(self, registry: MetricsRegistry, service: str):
+        self.registry = registry
+        self.service = service
+        self._requests = registry.counter(
+            "soda_switch_requests_total",
+            "Requests seen by a service switch, by outcome.",
+            ("service", "outcome"),
+        )
+        self._latency = registry.histogram(
+            "soda_switch_response_seconds",
+            "Client-visible response time through the switch.",
+            ("service",),
+        )
+        self._dispatch = registry.counter(
+            "soda_switch_dispatch_total",
+            "Requests dispatched to each back-end node.",
+            ("service", "node"),
+        )
+        self._failovers = registry.counter(
+            "soda_switch_failovers_total",
+            "Dispatch attempts retried on another replica.",
+            ("service",),
+        )
+        self._timeouts = registry.counter(
+            "soda_switch_timeouts_total",
+            "Requests that exhausted their timeout budget.",
+            ("service",),
+        )
+        self._tenant_requests = registry.counter(
+            "soda_tenant_requests_total",
+            "Requests by owning tenant and outcome (market extension).",
+            ("tenant", "service", "outcome"),
+        )
+        self._by_outcome: Dict[str, Any] = {}
+        self._latency_child: Any = None
+        self._by_node: Dict[str, Any] = {}
+        self._failover_child: Any = None
+        self._timeout_child: Any = None
+        self._by_tenant_outcome: Dict[tuple, Any] = {}
+
+    def outcome(self, outcome: str, latency_s: Optional[float], tenant: Optional[str]) -> None:
+        child = self._by_outcome.get(outcome)
+        if child is None:
+            child = self._by_outcome[outcome] = self._requests.labels(
+                service=self.service, outcome=outcome
+            )
+        child.inc()
+        if latency_s is not None:
+            child = self._latency_child
+            if child is None:
+                child = self._latency_child = self._latency.labels(service=self.service)
+            child.observe(latency_s)
+        if tenant is not None:
+            key = (tenant, outcome)
+            child = self._by_tenant_outcome.get(key)
+            if child is None:
+                child = self._by_tenant_outcome[key] = self._tenant_requests.labels(
+                    tenant=tenant, service=self.service, outcome=outcome
+                )
+            child.inc()
+
+    def dispatched(self, node: str) -> None:
+        child = self._by_node.get(node)
+        if child is None:
+            child = self._by_node[node] = self._dispatch.labels(
+                service=self.service, node=node
+            )
+        child.inc()
+
+    def failover(self) -> None:
+        if self._failover_child is None:
+            self._failover_child = self._failovers.labels(service=self.service)
+        self._failover_child.inc()
+
+    def timeout(self) -> None:
+        if self._timeout_child is None:
+            self._timeout_child = self._timeouts.labels(service=self.service)
+        self._timeout_child.inc()
 
 
 class ServiceSwitch:
@@ -152,63 +247,23 @@ class ServiceSwitch:
         self.tenant: Optional[str] = None
         # Observability: metric children bound against whichever registry
         # is attached to the simulator (rebound if it changes).
-        self._obs_cache: Optional[tuple] = None
+        self._obs_cache: Optional[_SwitchMetrics] = None
 
     # -- observability (observes, never perturbs) ----------------------------
-    def _obs_metrics(self) -> Optional[tuple]:
-        """(registry, outcome counter, latency histogram, per-node
-        counter, failover counter, timeout counter) or None."""
+    def _obs_metrics(self) -> Optional[_SwitchMetrics]:
+        """This switch's metric children for the attached registry, or None."""
         registry = registry_of(self.sim)
         if registry is None:
             return None
-        if self._obs_cache is None or self._obs_cache[0] is not registry:
-            self._obs_cache = (
-                registry,
-                registry.counter(
-                    "soda_switch_requests_total",
-                    "Requests seen by a service switch, by outcome.",
-                    ("service", "outcome"),
-                ),
-                registry.histogram(
-                    "soda_switch_response_seconds",
-                    "Client-visible response time through the switch.",
-                    ("service",),
-                ),
-                registry.counter(
-                    "soda_switch_dispatch_total",
-                    "Requests dispatched to each back-end node.",
-                    ("service", "node"),
-                ),
-                registry.counter(
-                    "soda_switch_failovers_total",
-                    "Dispatch attempts retried on another replica.",
-                    ("service",),
-                ),
-                registry.counter(
-                    "soda_switch_timeouts_total",
-                    "Requests that exhausted their timeout budget.",
-                    ("service",),
-                ),
-                registry.counter(
-                    "soda_tenant_requests_total",
-                    "Requests by owning tenant and outcome (market extension).",
-                    ("tenant", "service", "outcome"),
-                ),
-            )
-        return self._obs_cache
+        cache = self._obs_cache
+        if cache is None or cache.registry is not registry:
+            cache = self._obs_cache = _SwitchMetrics(registry, self.service_name)
+        return cache
 
     def _obs_outcome(self, outcome: str, latency_s: Optional[float] = None) -> None:
         cache = self._obs_metrics()
-        if cache is None:
-            return
-        requests, latency = cache[1], cache[2]
-        requests.inc(service=self.service_name, outcome=outcome)
-        if latency_s is not None:
-            latency.observe(latency_s, service=self.service_name)
-        if self.tenant is not None:
-            cache[6].inc(
-                tenant=self.tenant, service=self.service_name, outcome=outcome
-            )
+        if cache is not None:
+            cache.outcome(outcome, latency_s, self.tenant)
 
     # -- SLA hooks (extension) ----------------------------------------------
     def add_outcome_listener(
@@ -380,7 +435,7 @@ class ServiceSwitch:
                 root = tracer.start_span(
                     "request", lane=lane, start=started, service=self.service_name
                 )
-                request = replace(request, trace=root)
+                request = request.with_trace(root)
             dispatch = tracer.start_span("dispatch", lane=lane, start=started, parent=root)
             if self.tenant is not None:
                 dispatch.annotate(tenant=self.tenant)
@@ -444,7 +499,7 @@ class ServiceSwitch:
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
         cache = self._obs_metrics()
         if cache is not None:
-            cache[3].inc(service=self.service_name, node=backend.name)
+            cache.dispatched(backend.name)
         if dispatch is not None:
             # The back-end process bootstraps at this same instant, so
             # closing the dispatch segment here makes it contiguous with
@@ -508,7 +563,7 @@ class ServiceSwitch:
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
         cache = self._obs_metrics()
         if cache is not None:
-            cache[3].inc(service=self.service_name, node=backend.name)
+            cache.dispatched(backend.name)
         if dispatch is not None:
             dispatch.finish(self.sim.now).annotate(node=backend.name)
         try:
@@ -682,7 +737,7 @@ class ServiceSwitch:
             # Back off before the next attempt, clamped to the budget.
             self.failovers += 1
             if cache is not None:
-                cache[4].inc(service=self.service_name)
+                cache.failover()
             delay = policy.delay(attempt) if policy is not None else 0.0
             if deadline is not None:
                 remaining = deadline - self.sim.now
@@ -707,7 +762,7 @@ class ServiceSwitch:
     def _timeout_failure(self, cache) -> RequestTimeoutError:
         self.timeouts += 1
         if cache is not None:
-            cache[5].inc(service=self.service_name)
+            cache.timeout()
         return RequestTimeoutError(
             f"service {self.service_name!r} request exceeded its "
             f"{self.request_timeout_s:g}s budget"
@@ -732,7 +787,7 @@ class ServiceSwitch:
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
         cache = self._obs_metrics()
         if cache is not None:
-            cache[3].inc(service=self.service_name, node=backend.name)
+            cache.dispatched(backend.name)
         try:
             response = yield self.sim.process(
                 backend.serve(request), name=f"serve:{backend.name}"

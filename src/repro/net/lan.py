@@ -101,7 +101,7 @@ is lifted, exactly like a real TCP stream surviving a brief outage.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -276,6 +276,8 @@ class LAN:
         self._obs_registry = None
         self._obs_flushes = None
         self._obs_transfers = None
+        # Transfer-counter children by loopback flag, bound on first use.
+        self._obs_transfer_kinds: Dict[bool, Any] = {}
         # Preallocated scratch for the vectorized allocator, grown on
         # demand and reused across flushes (see _compute_wire_rates_vec).
         self._vec_flows = 0
@@ -299,6 +301,7 @@ class LAN:
             "Transfers started on the LAN, by path kind.",
             ("kind",),
         )
+        self._obs_transfer_kinds = {}
 
     # -- topology ---------------------------------------------------------
     def nic(self, name: str, rate_mbps: Optional[float] = None) -> NetworkInterface:
@@ -412,7 +415,13 @@ class LAN:
         if registry is not None:
             if registry is not self._obs_registry:
                 self._obs_bind(registry)
-            self._obs_transfers.inc(kind="loopback" if flow._loopback else "wire")
+            child = self._obs_transfer_kinds.get(flow._loopback)
+            if child is None:
+                child = self._obs_transfers.labels(
+                    kind="loopback" if flow._loopback else "wire"
+                )
+                self._obs_transfer_kinds[flow._loopback] = child
+            child.inc()
         self._flows.append(flow)
         if flow._loopback:
             # Singleton bottleneck group — but the rate is assigned in

@@ -3,9 +3,18 @@
 A :class:`MetricsRegistry` owns a flat namespace of named metrics, each
 carrying a fixed tuple of label *names* and any number of label-*value*
 children.  Components instrument themselves against a registry attached
-to their simulator (``sim.metrics``); with no registry attached every
+to their simulator (``sim.metrics``).  With no registry attached every
 instrumentation site is a cheap ``None`` check, so experiments pay
 nothing for the machinery they do not use.
+
+With a registry attached, a family-level ``inc(**labels)`` or
+``observe(value, **labels)`` is not cheap: it goes through ``labels()``,
+which sorts and validates the label names on every call.  Per-request
+sites therefore never make those calls.  They hold the children they
+need, each bound through ``labels()`` once, lazily, on first use — the
+moment the family-level call would have created it, so the exposition
+carries no extra zero-valued series.  Where a label varies per request,
+the site keeps a plain dict from that label value to its child.
 
 Design constraints inherited from the simulation substrate:
 
@@ -46,6 +55,8 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, math.inf,
 )
 
+_INF = math.inf
+
 _VALID_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 
 
@@ -64,8 +75,10 @@ class _CounterChild:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up; got {amount}")
+        if not 0 <= amount < _INF:
+            if amount < 0:
+                raise ValueError(f"counters only go up; got {amount}")
+            raise ValueError(f"counter increment must be finite; got {amount}")
         self.value += amount
 
 
@@ -99,14 +112,17 @@ class _HistogramChild:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
         # Linear scan: bucket lists are short and the constant beats
         # bisect for the typical low-latency observation.
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                self.counts[i] += 1
-                return
+                break
+        else:
+            # The last bound is +Inf, so only NaN falls through.
+            raise ValueError(f"histogram observation must not be NaN; got {value}")
+        self.counts[i] += 1
+        self.sum += value
+        self.count += 1
 
 
 class _Metric:
@@ -118,6 +134,8 @@ class _Metric:
         self.name = _check_name(name)
         self.help = help
         self.label_names = tuple(label_names)
+        if len(set(self.label_names)) != len(self.label_names):
+            raise ValueError(f"{name}: duplicate label names in {self.label_names}")
         self._children: Dict[Tuple[str, ...], object] = {}
 
     def _new_child(self) -> object:

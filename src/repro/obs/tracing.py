@@ -58,6 +58,8 @@ __all__ = [
     "STATUS_OPEN",
 ]
 
+_INF = float("inf")
+
 STATUS_OPEN = "open"
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -78,25 +80,35 @@ class SpanContext:
         return f"SpanContext(trace={self.trace_id}, span={self.span_id})"
 
 
-class Span:
+class Span(SpanContext):
     """One named, timed segment of work attributed to a lane.
 
     ``lane`` names where the work happened (a node, a switch, a client)
     and becomes the per-node row in the Chrome trace export.
+
+    A span *is* its own :class:`SpanContext` — it carries the identifying
+    triple in its own slots, so recording a span allocates one object —
+    and :attr:`context` returns the span itself.
     """
 
-    __slots__ = ("context", "name", "lane", "start", "end", "status", "epoch", "attrs")
+    __slots__ = ("name", "lane", "start", "end", "status", "epoch", "attrs")
 
     def __init__(
         self,
-        context: SpanContext,
+        trace_id: Any,
+        span_id: Any,
+        parent_id: Any,
         name: str,
         lane: str,
         start: float,
         epoch: int,
         attrs: Optional[Dict[str, Any]] = None,
     ):
-        self.context = context
+        if not -_INF < start < _INF:
+            raise ValueError(f"span {name!r} start must be finite; got {start}")
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
         self.name = name
         self.lane = lane
         self.start = start
@@ -104,6 +116,11 @@ class Span:
         self.status = STATUS_OPEN
         self.epoch = epoch
         self.attrs: Optional[Dict[str, Any]] = attrs
+
+    @property
+    def context(self) -> "Span":
+        """The identifying triple — the span itself."""
+        return self
 
     @property
     def finished(self) -> bool:
@@ -126,8 +143,10 @@ class Span:
         """Close the span at simulated time ``end``."""
         if self.end is not None:
             raise ValueError(f"span {self.name!r} already finished")
-        if end < self.start:
-            raise ValueError(f"span {self.name!r} ends before it starts")
+        if not self.start <= end < _INF:
+            if end < self.start:
+                raise ValueError(f"span {self.name!r} ends before it starts")
+            raise ValueError(f"span {self.name!r} end must be finite; got {end}")
         self.end = end
         self.status = status
         return self
@@ -135,9 +154,9 @@ class Span:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (see :mod:`repro.obs.export`)."""
         return {
-            "trace": self.context.trace_id,
-            "span": self.context.span_id,
-            "parent": self.context.parent_id,
+            "trace": self.trace_id,
+            "span": self.span_id,
+            "parent": self.parent_id,
             "name": self.name,
             "lane": self.lane,
             "start": self.start,
@@ -205,24 +224,23 @@ class RequestTracer:
     ) -> Span:
         """Open a span; with ``parent=None`` it roots a new trace.
 
-        ``parent`` is a local :class:`Span` or any object carrying
-        ``trace_id``/``span_id`` — e.g. a remote
+        ``parent`` is anything carrying ``trace_id``/``span_id``: a local
+        :class:`Span`, a :class:`SpanContext`, or a remote
         :class:`repro.obs.federation.TraceContext` that rode a
         cross-shard message.
         """
         self._next_span += 1
         if parent is None:
             self._next_trace += 1
-            context = SpanContext(self._id(self._next_trace), self._id(self._next_span), None)
-        elif isinstance(parent, Span):
-            context = SpanContext(
-                parent.context.trace_id, self._id(self._next_span), parent.context.span_id
-            )
+            trace_id = self._id(self._next_trace)
+            parent_id = None
         else:
-            context = SpanContext(
-                parent.trace_id, self._id(self._next_span), parent.span_id
-            )
-        span = Span(context, name, lane, start, self.epoch, attrs or None)
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+        span = Span(
+            trace_id, self._id(self._next_span), parent_id,
+            name, lane, start, self.epoch, attrs or None,
+        )
         self._append(span)
         return span
 
@@ -234,9 +252,10 @@ class RequestTracer:
         any locally-created span.
         """
         if isinstance(span, dict):
-            context = SpanContext(span["trace"], span["span"], span.get("parent"))
             adopted = Span(
-                context,
+                span["trace"],
+                span["span"],
+                span.get("parent"),
                 span["name"],
                 span["lane"],
                 span["start"],
@@ -268,17 +287,17 @@ class RequestTracer:
         return [
             s
             for s in self._spans
-            if s.context.parent_id is None and (status is None or s.status == status)
+            if s.parent_id is None and (status is None or s.status == status)
         ]
 
     def children_of(self, root: Span) -> List[Span]:
         """Direct children of ``root`` in start order (ties: creation order)."""
-        trace_id = root.context.trace_id
-        parent_id = root.context.span_id
+        trace_id = root.trace_id
+        parent_id = root.span_id
         kids = [
             s
             for s in self._spans
-            if s.context.trace_id == trace_id and s.context.parent_id == parent_id
+            if s.trace_id == trace_id and s.parent_id == parent_id
         ]
         kids.sort(key=lambda s: s.start)
         return kids

@@ -295,6 +295,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         # One bound method reused for every callback registration; bound
         # methods compare equal, so interrupt() can still .remove() it.
+        # It references the process itself, so both terminal paths of
+        # the resume step drop it: a finished process is then freed by
+        # refcount instead of waiting for the cyclic GC.
         self._resume_cb = self._resume
         # Bootstrap: resume immediately (at current sim time) via a
         # direct-resume heap entry (no throwaway Event).
@@ -341,10 +344,12 @@ class Process(Event):
                 next_event = self._generator.send(trigger._value)
         except StopIteration as stop:
             sim._active_process = None
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             sim._active_process = None
+            self._resume_cb = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
@@ -385,10 +390,12 @@ class Process(Event):
                 next_event = self._generator.send(value)
         except StopIteration as stop:
             sim._active_process = None
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             sim._active_process = None
+            self._resume_cb = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
@@ -414,6 +421,7 @@ class Process(Event):
         """Fail the process over a non-event yield (cold path)."""
         error = SimulationError(f"process {self.name!r} yielded non-event {yielded!r}")
         self._generator.close()
+        self._resume_cb = None
         self.fail(error)
         raise error
 

@@ -182,3 +182,18 @@ def test_switch_counts_per_node(testbed):
     for _ in range(6):
         serve_one(testbed, record, client)
     assert sum(record.switch.per_node_count.values()) == 6
+
+
+def test_request_with_trace_copies_every_other_field():
+    mix = SyscallMix(1.0, 30)
+    request = Request(client="c", response_mb=0.5, mix=mix, label="l", component="db")
+    root = object()
+    traced = request.with_trace(root)
+    assert traced.trace is root
+    assert request.trace is None  # the original is untouched
+    assert traced == request  # trace is excluded from equality
+    assert (traced.client, traced.response_mb, traced.mix, traced.label, traced.component) == (
+        "c", 0.5, mix, "l", "db"
+    )
+    with pytest.raises(AttributeError):
+        traced.trace = None  # still frozen

@@ -24,6 +24,17 @@ def test_counter_rejects_negative_increment():
         c.inc(-1.0)
 
 
+@pytest.mark.parametrize("amount", [math.nan, math.inf])
+def test_counter_rejects_non_finite_increment(amount):
+    registry = MetricsRegistry()
+    c = registry.counter("soda_finite_total", labels=("k",))
+    with pytest.raises(ValueError, match="finite"):
+        c.inc(amount, k="v")
+    with pytest.raises(ValueError, match="finite"):
+        c.labels(k="v").inc(amount)
+    assert c.value(k="v") == 0.0  # nothing was added
+
+
 def test_gauge_set_inc_dec():
     registry = MetricsRegistry()
     g = registry.gauge("soda_inflight", labels=("node",))
@@ -46,6 +57,19 @@ def test_histogram_buckets_and_inf():
     assert child.sum == pytest.approx(100.55)
 
 
+def test_histogram_rejects_nan_but_keeps_inf():
+    registry = MetricsRegistry()
+    h = registry.histogram("soda_nan_seconds", buckets=(0.1, 1.0))
+    with pytest.raises(ValueError, match="NaN"):
+        h.observe(math.nan)
+    child = h.labels()
+    # A rejected observation leaves count, sum and buckets untouched.
+    assert (child.count, child.sum, child.counts) == (0, 0.0, [0, 0, 0])
+    h.observe(math.inf)  # the +Inf bucket is a legal destination
+    assert child.counts == [0, 0, 1]
+    assert child.count == sum(child.counts)
+
+
 def test_histogram_rejects_bad_buckets():
     registry = MetricsRegistry()
     with pytest.raises(ValueError, match="sorted"):
@@ -61,6 +85,15 @@ def test_label_shape_is_enforced():
         c.inc(a="1")  # missing b
     with pytest.raises(ValueError, match="expected labels"):
         c.inc(a="1", b="2", c="3")  # extra
+
+
+def test_duplicate_label_names_rejected_at_construction():
+    registry = MetricsRegistry()
+    with pytest.raises(ValueError, match="duplicate label names"):
+        registry.counter("soda_dup_total", labels=("a", "a"))
+    with pytest.raises(ValueError, match="duplicate label names"):
+        registry.histogram("soda_dup_seconds", labels=("a", "b", "a"))
+    assert len(registry) == 0  # nothing half-registered
 
 
 def test_registration_is_idempotent_for_same_shape():

@@ -1,8 +1,10 @@
 """Tests for the span model and the request tracer."""
 
+import math
+
 import pytest
 
-from repro.obs.tracing import RequestTracer, tracer_of
+from repro.obs.tracing import RequestTracer, SpanContext, tracer_of
 
 
 def test_span_lifecycle():
@@ -31,6 +33,50 @@ def test_span_cannot_end_before_start():
     span = tracer.start_span("x", lane="l", start=5.0)
     with pytest.raises(ValueError, match="ends before it starts"):
         span.finish(4.0)
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf])
+def test_span_rejects_non_finite_end(end):
+    tracer = RequestTracer()
+    span = tracer.start_span("x", lane="l", start=5.0)
+    with pytest.raises(ValueError, match="finite"):
+        span.finish(end)
+    assert not span.finished  # still open, can be closed properly
+    span.finish(6.0)
+    assert span.duration == 1.0
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_start_span_rejects_non_finite_start(start):
+    tracer = RequestTracer()
+    with pytest.raises(ValueError, match="finite"):
+        tracer.start_span("x", lane="l", start=start)
+    assert len(tracer) == 0
+    with pytest.raises(ValueError, match="finite"):
+        tracer.adopt({"trace": 1, "span": 1, "name": "x", "lane": "l", "start": start})
+
+
+def test_span_is_its_own_context():
+    tracer = RequestTracer()
+    root = tracer.start_span("request", lane="c", start=0.0)
+    child = tracer.start_span("dispatch", lane="s", start=0.0, parent=root)
+    assert isinstance(root, SpanContext)
+    assert root.context is root
+    assert (child.trace_id, child.parent_id) == (root.trace_id, root.span_id)
+    # A bare SpanContext parents a span exactly like the span it names.
+    via_context = tracer.start_span(
+        "tx", lane="s", start=0.0, parent=SpanContext(root.trace_id, root.span_id, None)
+    )
+    assert (via_context.trace_id, via_context.parent_id) == (root.trace_id, root.span_id)
+
+
+def test_adopt_round_trips_to_dict():
+    tracer = RequestTracer()
+    span = tracer.start_span("request", lane="c", start=0.25, service="web")
+    span.finish(0.75, "failed")
+    adopted = RequestTracer().adopt(span.to_dict())
+    assert adopted.to_dict() == span.to_dict()
+    assert adopted.context.span_id == span.span_id
 
 
 def test_span_annotate_merges_attrs():

@@ -17,10 +17,13 @@ moves any float fails here even if it is deterministic.
 The observability guard extends the same guarantee across the
 instrumentation boundary: with tracing + metrics + profiling fully
 enabled, both paths must stay bit-identical to a run with the stack
-disabled — `repro.obs` observes, never perturbs.
+disabled — `repro.obs` observes, never perturbs.  What the hub itself
+emits for one chaos run (exposition and spans) is pinned to fixed
+digests, so a cheaper instrumentation site cannot change it either.
 """
 
 import hashlib
+import json
 
 import repro.experiments.fig4_loadbalance as fig4
 from repro.faults.chaos import run_chaos_scenario
@@ -167,6 +170,30 @@ def test_chaos_digest_unchanged_by_full_observability():
     # perturbing a single injection or retry instant.
     assert len(hub.tracer.spans()) > 0
     assert "soda_faults_injected_total" in hub.prometheus()
+
+
+# What the hub emits for chaos seed 0 (30 s) under tracing + metrics:
+# sha256 of the Prometheus exposition (146 lines) and of every span's
+# to_dict() (4389 spans).  A change to an instrumentation site that adds,
+# drops or reorders a series or a span — e.g. binding metric children
+# eagerly, which adds zero-valued series — changes them.
+CHAOS_HUB_PROMETHEUS_SHA = "17b5ff59be248e165e7583bc323a4d45f3061d34b843210aa6c2f09d98ef8d30"
+CHAOS_HUB_SPANS_SHA = "8834cdb1cff6cc691553722dddae17ba032e807c2837e60f552d815826d53885"
+
+
+def test_chaos_hub_exposition_and_spans_pinned():
+    hub = Observability(tracing=True, metrics=True)
+    with hub.activate():
+        run_chaos_scenario(seed=0, duration_s=30.0)
+    exposition = hub.prometheus()
+    spans = [s.to_dict() for s in hub.tracer.spans()]
+    assert len(exposition.splitlines()) == 146
+    assert len(spans) == 4389
+    assert hashlib.sha256(exposition.encode()).hexdigest() == CHAOS_HUB_PROMETHEUS_SHA
+    assert (
+        hashlib.sha256(json.dumps(spans, sort_keys=True).encode()).hexdigest()
+        == CHAOS_HUB_SPANS_SHA
+    )
 
 
 # -- the market ablation joins the determinism contract -----------------------

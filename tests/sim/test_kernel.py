@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -133,6 +136,37 @@ def test_waiting_on_already_finished_process():
     sim.process(parent(sim, child_proc))
     sim.run()
     assert results == [(10.0, "early")]
+
+
+def test_finished_process_freed_by_refcount():
+    # A finished process must not sit in a reference cycle (its bound
+    # resume callback would make one) — with the cyclic GC off, it dies
+    # as soon as the last outside reference goes.
+    sim = Simulator()
+    seen = []
+    child_refs = []
+
+    def child(sim):
+        yield sim.timeout(1)
+        return "done"
+
+    def parent(sim):
+        child_proc = sim.process(child(sim))
+        child_refs.append(weakref.ref(child_proc))
+        seen.append((yield child_proc))
+
+    proc = sim.process(parent(sim))
+    gc.disable()
+    try:
+        sim.run()
+        assert seen == ["done"]
+        assert not proc.is_alive
+        assert child_refs[0]() is None  # nobody outside held the child
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_process_failure_propagates_to_waiter():
