@@ -54,6 +54,7 @@ discrete path in expectation (means over many batches), not per event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
@@ -104,21 +105,48 @@ class FluidServiceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("spec needs a service name")
-        if self.arrival_rps <= 0:
-            raise ValueError(f"arrival_rps must be positive, got {self.arrival_rps}")
-        if self.mean_batch < 1:
-            raise ValueError(f"mean_batch must be >= 1, got {self.mean_batch}")
-        if self.service_s <= 0:
-            raise ValueError(f"service_s must be positive, got {self.service_s}")
-        if self.request_mb <= 0 or self.response_mb <= 0:
-            raise ValueError("payload sizes must be positive")
+        if not math.isfinite(self.mean_batch) or self.mean_batch < 1:
+            raise ValueError(f"mean_batch must be finite and >= 1, got {self.mean_batch}")
+        for name in ("arrival_rps", "service_s", "request_mb", "response_mb"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        slo = self.slo_latency_s
+        if slo is not None and (not math.isfinite(slo) or slo <= 0):
+            raise ValueError(f"slo_latency_s must be positive and finite, got {slo}")
+        if not math.isfinite(self.rate_per_cpu_hour) or self.rate_per_cpu_hour < 0:
+            raise ValueError(
+                f"rate_per_cpu_hour must be finite and >= 0, got {self.rate_per_cpu_hour}"
+            )
+
+
+def _host_sojourn(k, d, slack, sat, unit, b0):
+    """One host's ``k`` requests: ``(sojourn sum, finish - t0)``.
+
+    The closed form of the FIFO recursion documented on
+    :meth:`FluidCluster.dispatch_batch`, for spacing ``d``, per-request
+    slice ``unit``, ``slack = d - unit``, ``sat = slack <= 0`` and
+    backlog ``b0``.  Plain float arithmetic: the same IEEE operations in
+    the same order for every host, idle or backlogged.
+    """
+    if sat:
+        # Saturated: sojourn_j = b0 + (j+1)u - jd, summed over j < k.
+        return k * (b0 + unit) - slack * (k * (k - 1.0) / 2.0), b0 + k * unit
+    # Unsaturated: the first m arrivals still see backlog
+    # b0 - j*(d-u) > 0; everyone pays the base slice.
+    queued = b0 / slack
+    m = k if queued >= k else float(math.ceil(queued))
+    return (
+        k * unit + m * b0 - slack * (m * (m - 1.0) / 2.0),
+        (k - 1.0) * d + unit + max(0.0, b0 - (k - 1.0) * slack),
+    )
 
 
 class FluidCluster:
     """Aggregate model of ``n_hosts`` background hosts behind one switch.
 
     Per-host state is three preallocated numpy buffers keyed by host
-    index — the vectorized twin of a rack of :class:`Host` objects.  A
+    index — the array twin of a rack of :class:`Host` objects.  A
     batch of ``n`` requests is spread across hosts round-robin (the
     fleet analogue of the switch's weighted rotation): host ``h`` gets
     ``n_h`` requests and serves them at ``workers_per_host`` parallel
@@ -141,8 +169,8 @@ class FluidCluster:
             raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
         if workers_per_host < 1:
             raise ValueError(f"workers_per_host must be >= 1, got {workers_per_host}")
-        if host_cpu_mhz <= 0:
-            raise ValueError(f"host_cpu_mhz must be positive, got {host_cpu_mhz}")
+        if not math.isfinite(host_cpu_mhz) or host_cpu_mhz <= 0:
+            raise ValueError(f"host_cpu_mhz must be positive and finite, got {host_cpu_mhz}")
         self.sim = sim
         self.name = name
         self.n_hosts = n_hosts
@@ -158,7 +186,7 @@ class FluidCluster:
         # population — flow endpoints for the per-batch transfers.
         self.nic = self.lan.nic(f"{name}-uplink", n_hosts * host_nic_mbps)
         self.clients = self.lan.nic(f"{name}-clients", _CLIENT_POOL_MBPS)
-        # Vectorized per-host ledgers, keyed by host index.
+        # Per-host ledgers, keyed by host index.
         self.busy_until = np.zeros(n_hosts)
         self.served = np.zeros(n_hosts, dtype=np.int64)
         self.busy_s = np.zeros(n_hosts)
@@ -198,53 +226,96 @@ class FluidCluster:
         (queue-behind-busy-host plus one slice), so the two fidelities
         account service time through this one code path.
 
-        One vectorized pass over the host buffers replaces ``n`` discrete
-        dispatch decisions.  Deterministic: the rotation cursor and pure
-        array arithmetic make the spread a function of call order only.
+        One pass per count run replaces ``n`` discrete dispatch
+        decisions.  The involved hosts form at most three contiguous runs
+        with one count ``k`` each, and every idle host of a run
+        (``busy_until <= now``, so ``b0 == 0``) has the same closed form:
+        it is evaluated once and written to the run's ledger slices.  Only
+        the hosts still backlogged at ``now`` are evaluated one by one.
+        The batch mean sums the per-host sojourns in host order with one
+        ``np.sum``, so each value and the summation order are those of a
+        host-by-host evaluation.  Deterministic: the rotation cursor makes
+        the spread a function of call order only.
         """
         if n < 1:
             raise ValueError(f"batch size must be >= 1, got {n}")
-        if window_s < 0:
-            raise ValueError(f"window must be non-negative, got {window_s}")
+        if not math.isfinite(window_s) or window_s < 0:
+            raise ValueError(f"window must be finite and >= 0, got {window_s}")
+        if not math.isfinite(service_s) or service_s <= 0:
+            raise ValueError(f"service_s must be positive and finite, got {service_s}")
         h = self.n_hosts
         unit = service_s / self.workers_per_host
-        base, extra = divmod(n, h)
-        counts = np.full(h, base, dtype=np.int64)
-        if extra:
-            take = (np.arange(h) - self._cursor) % h < extra
-            counts[take] += 1
-            self._cursor = (self._cursor + extra) % h
-        involved = counts > 0
-        k = counts[involved].astype(np.float64)
         t0 = now - window_s  # first modelled arrival of the window
+        busy_until, served, busy_s = self.busy_until, self.served, self.busy_s
         # Cross-batch backlog: only work still owed *beyond this event*
         # queues ahead of the window's arrivals.  An unsaturated host's
         # busy_until is a last-finish timestamp, not standing backlog —
         # measuring from ``t0`` would charge a full window of phantom
         # queueing whenever another service's batch landed mid-window.
-        b0 = np.maximum(self.busy_until[involved] - now, 0.0)
-        d = window_s / k
-        slack = d - unit
-        sat = slack <= 0.0
-        safe_slack = np.where(sat, 1.0, slack)
-        # Saturated: sojourn_j = b0 + (j+1)u - jd, summed over j < k.
-        sum_sat = k * (b0 + unit) - slack * (k * (k - 1.0) / 2.0)
-        finish_sat = b0 + k * unit
-        # Unsaturated: the first m arrivals still see backlog
-        # b0 - j*(d-u) > 0; everyone pays the base slice.
-        m = np.minimum(k, np.ceil(b0 / safe_slack))
-        sum_unsat = k * unit + m * b0 - slack * (m * (m - 1.0) / 2.0)
-        finish_unsat = (k - 1.0) * d + unit + np.maximum(
-            0.0, b0 - (k - 1.0) * slack
-        )
-        mean_sojourn = float(np.where(sat, sum_sat, sum_unsat).sum()) / n
-        finish = t0 + np.where(sat, finish_sat, finish_unsat)
-        self.busy_until[involved] = finish
-        self.served += counts
-        # CPU-seconds booked (one worker for service_s per request);
-        # utilization() divides by full worker capacity.
-        self.busy_s[involved] += k * service_s
-        return float(finish.max()), mean_sojourn
+        # Read before any write: (host, b0) for every host still busy.
+        backlog = (busy_until > now).nonzero()[0].tolist()
+        owed = (busy_until[backlog] - now).tolist() if backlog else ()
+        runs = self._count_runs(n)
+        # Per-host sojourn sums of the involved hosts, in host order: the
+        # array the batch mean is summed over.
+        sojourns = np.empty(min(n, h))
+        completion = -math.inf
+        at = 0  # next unread backlog entry (both lists are in host order)
+        pos = 0  # first sojourn slot of the run
+        for start, stop, k in runs:
+            d = window_s / k
+            slack = d - unit
+            sat = slack <= 0.0
+            # Every host of a run with b0 == 0 has the same closed form.
+            idle_sum, idle_finish = _host_sojourn(k, d, slack, sat, unit, 0.0)
+            finish = t0 + idle_finish
+            busy_until[start:stop] = finish
+            served[start:stop] += k
+            # CPU-seconds booked (one worker for service_s per request);
+            # utilization() divides by full worker capacity.
+            busy_s[start:stop] += k * service_s
+            sojourns[pos:pos + stop - start] = idle_sum
+            # Rounding is monotone, so no host of the run finishes before
+            # the idle finish: it never raises the max over the finishes
+            # written, even when every host of the run is backlogged.
+            completion = max(completion, finish)
+            while at < len(backlog) and backlog[at] < start:
+                at += 1  # busy but not involved in this batch
+            while at < len(backlog) and backlog[at] < stop:
+                host = backlog[at]
+                host_sum, host_finish = _host_sojourn(
+                    k, d, slack, sat, unit, owed[at]
+                )
+                host_finish = t0 + host_finish
+                busy_until[host] = host_finish
+                sojourns[pos + host - start] = host_sum
+                completion = max(completion, host_finish)
+                at += 1
+            pos += stop - start
+        mean_sojourn = float(sojourns.sum()) / n
+        return completion, mean_sojourn
+
+    def _count_runs(self, n: int):
+        """Split ``n`` round-robin requests into ``(start, stop, k)`` runs.
+
+        Every host gets ``base`` requests and the ``extra`` hosts from the
+        rotation cursor on get one more, so the involved hosts form at
+        most three contiguous index runs, listed in host order.  Advances
+        the cursor past the ``extra`` hosts.
+        """
+        h = self.n_hosts
+        base, extra = divmod(n, h)
+        if not extra:
+            return [(0, h, base)]
+        cursor = self._cursor
+        end = cursor + extra
+        self._cursor = end % h
+        if end <= h:
+            runs = [(0, cursor, base), (cursor, end, base + 1), (end, h, base)]
+        else:
+            end -= h
+            runs = [(0, end, base + 1), (end, cursor, base), (cursor, h, base + 1)]
+        return [run for run in runs if run[0] < run[1] and run[2]]
 
     def utilization(self, start: float, end: float) -> float:
         """Mean worker-CPU utilization of the cluster over [start, end]."""
@@ -354,7 +425,7 @@ class FluidBackgroundLoad:
 
     ``fidelity="fluid"`` (default): one arrival event per *batch*; the
     batch pays one aggregate ingress flow, one batch classify slice, one
-    vectorized host dispatch, and one aggregate response flow.
+    host dispatch, and one aggregate response flow.
     ``fidelity="discrete"``: the same workload as one event chain per
     *request* — the comparison arm.  Both modes draw interarrival gaps
     from the stream ``fluid:<service>:gap``.
@@ -501,7 +572,7 @@ class FluidBackgroundLoad:
         # one slice — per-request classify latency matches discrete.
         classify = CLASSIFY_MCYCLES / cluster.host_cpu_mhz
         yield sim.timeout(classify)
-        # 3. Vectorized host dispatch; sleep until the batch drains.
+        # 3. Host dispatch; sleep until the batch drains.
         completion, mean_sojourn = cluster.dispatch_batch(
             sim.now, n, spec.service_s, window_s
         )

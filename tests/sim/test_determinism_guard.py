@@ -12,7 +12,9 @@ shift experiment numbers.
 
 The Figure 5 CPU scheduler traces are pinned to fixed digests rather
 than compared run against run, so a change to the quantum loop that
-moves any float fails here even if it is deterministic.
+moves any float fails here even if it is deterministic.  So are two
+fluid fleet runs (report plus host ledgers) and a federated run at one
+and two workers, which pins the fluid host dispatch arithmetic.
 
 The observability guard extends the same guarantee across the
 instrumentation boundary: with tracing + metrics + profiling fully
@@ -37,7 +39,10 @@ from repro.obs import FederationObservability, Observability
 from repro.scenario.library import get_scenario
 from repro.scenario.run import run_scenario
 from repro.sim import RandomStreams
+from repro.sim.fluid import FluidServiceSpec
 from repro.sim.parallel import run_federation
+from tests.sim.test_fluid import SPECS as FLUID_SPECS
+from tests.sim.test_fluid import fleet_run as fluid_fleet_run
 from tests.sim.test_parallel import build_topology as build_federation
 from tests.sla.test_e2e import run_sla_scenario
 
@@ -278,3 +283,49 @@ def _scheduler_digest(cls):
 def test_scheduler_trace_digests_pinned():
     for cls, expected in SCHEDULER_TRACE_DIGESTS.items():
         assert _scheduler_digest(cls) == expected, cls.__name__
+
+
+# -- fluid host dispatch is pinned to fixed digests ----------------------------
+
+# A saturating service on 150-host clusters: batches larger than the
+# fleet, every host backlogged, per-batch sums past NumPy's 128-element
+# pairwise block — next to the light SPECS mix that leaves hosts idle.
+FLUID_HOT_SPEC = FluidServiceSpec(
+    name="bg-hot", arrival_rps=49500.0, mean_batch=2000, service_s=0.02,
+    slo_latency_s=0.1,
+)
+
+# sha256 of a 3-cluster fluid run (seed 0, 4 s) per (hosts, specs added
+# to SPECS): the FluidReport digest plus every cluster's three host
+# ledgers and rotation cursor.  A change to the dispatch arithmetic that
+# moves any float changes them.
+FLUID_DIGESTS = [
+    (12, (), "e200d40d63a54c3d58b4c110dbc984dc41092ca84ef477854222c1508ecda07f"),
+    (450, (FLUID_HOT_SPEC,), "a10b1a04bb8134a49f12bb7dcdf84169f91cdd46c8c77b025ac156f4fd2b5fbe"),
+]
+# run_federation digest_sha of the parallel-test topology (seed 5, 1 s).
+FEDERATION_DIGEST_SHA = "6eb3d27aeb95e3e9d1ca048b4352a18102ea65eb84e7832787288124b332f2b7"
+
+
+def _fluid_sha(n_hosts, extra_specs):
+    specs = FLUID_SPECS + list(extra_specs)
+    report, _, clusters = fluid_fleet_run("fluid", seed=0, specs=specs, n_hosts=n_hosts)
+    sha = hashlib.sha256(repr(report.digest()).encode())
+    for cluster in clusters:
+        sha.update(
+            cluster.busy_until.tobytes() + cluster.served.tobytes()
+            + cluster.busy_s.tobytes() + repr(cluster._cursor).encode()
+        )
+    return sha.hexdigest()
+
+
+def test_fluid_fleet_digests_pinned():
+    for n_hosts, extra_specs, expected in FLUID_DIGESTS:
+        assert _fluid_sha(n_hosts, extra_specs) == expected, n_hosts
+
+
+def test_federation_digest_pinned():
+    topology = build_federation()
+    for n_workers in (1, 2):
+        run = run_federation(topology, duration_s=1.0, seed=5, n_workers=n_workers)
+        assert run.digest_sha == FEDERATION_DIGEST_SHA, n_workers

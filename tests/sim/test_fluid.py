@@ -285,6 +285,17 @@ def test_spec_validation():
         FluidServiceSpec(name="x", arrival_rps=1.0, service_s=0.0)
     with pytest.raises(ValueError):
         FluidServiceSpec(name="x", arrival_rps=1.0, request_mb=0.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, -1.0):
+        for name in ("arrival_rps", "mean_batch", "service_s", "request_mb",
+                     "response_mb", "slo_latency_s", "rate_per_cpu_hour"):
+            kwargs = {"arrival_rps": 1.0, name: bad}
+            with pytest.raises(ValueError):
+                FluidServiceSpec(name="x", **kwargs)
+    with pytest.raises(ValueError):
+        FluidServiceSpec(name="x", arrival_rps=1.0, slo_latency_s=0.0)
+    # The SLO stays optional; a free tariff is allowed.
+    FluidServiceSpec(name="x", arrival_rps=1.0, slo_latency_s=None, rate_per_cpu_hour=0.0)
 
 
 def test_load_validation():
@@ -311,13 +322,24 @@ def test_cluster_validation():
         FluidCluster(sim, "c", n_hosts=0)
     with pytest.raises(ValueError):
         FluidCluster(sim, "c", n_hosts=1, workers_per_host=0)
-    with pytest.raises(ValueError):
-        FluidCluster(sim, "c", n_hosts=1, host_cpu_mhz=0.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (0.0, nan, inf):
+        with pytest.raises(ValueError):
+            FluidCluster(sim, "c", n_hosts=1, host_cpu_mhz=bad)
+        with pytest.raises(ValueError):
+            FluidCluster(sim, "c", n_hosts=1, host_nic_mbps=bad)
     cluster = FluidCluster(sim, "c", n_hosts=1)
     with pytest.raises(ValueError):
         cluster.dispatch_batch(0.0, 0, 0.004)
-    with pytest.raises(ValueError):
-        cluster.dispatch_batch(0.0, 1, 0.004, window_s=-1.0)
+    for bad in (-1.0, nan, inf):
+        with pytest.raises(ValueError):
+            cluster.dispatch_batch(0.0, 1, 0.004, window_s=bad)
+    for bad in (0.0, nan, inf):
+        with pytest.raises(ValueError):
+            cluster.dispatch_batch(0.0, 1, bad)
+    # A rejected call leaves the ledgers untouched.
+    assert cluster.busy_until.tolist() == [0.0]
+    assert cluster.served.tolist() == [0]
 
 
 def test_testbed_fleet_wiring():
