@@ -34,7 +34,6 @@ from repro.net.ip import IPAddressPool, IPPoolExhausted
 from repro.net.lan import LAN
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Event, Simulator
-from repro.sim.trace import trace
 
 __all__ = ["SODADaemon"]
 
@@ -106,13 +105,8 @@ class SODADaemon:
                 node_vector, label=f"node:{node_name}"
             )
         except ReservationError as exc:
-            trace(self.sim, "priming", "reservation failed", node=node_name)
             self._obs_stage("reservation_failed")
             raise PrimingError(f"{node_name}: reservation failed: {exc}") from exc
-        trace(
-            self.sim, "priming", "slice reserved",
-            node=node_name, host=self.host.name, units=units,
-        )
         self._obs_stage("slice_reserved")
 
         ip = None
@@ -127,11 +121,6 @@ class SODADaemon:
                 self.http, self.host.nic, image_name
             )
             self.download_seconds_total += download.elapsed
-            trace(
-                self.sim, "priming", "image downloaded",
-                node=node_name, image=image_name,
-                mb=round(image.size_mb, 1), seconds=round(download.elapsed, 3),
-            )
             self._obs_stage("image_downloaded")
 
             # Customization + automatic bootstrapping (§4.3).  For a
@@ -152,24 +141,13 @@ class SODADaemon:
                 rootfs=tailored,
                 guest_mem_mb=machine.mem_mb * units,
             )
-            trace(
-                self.sim, "priming", "rootfs tailored",
-                node=node_name, services=len(tailored.services),
-                mb=round(tailored.size_mb, 1),
-            )
             self._obs_stage("rootfs_tailored")
             try:
                 yield from vm.boot(self.boot_model)
             except Exception as exc:
-                trace(self.sim, "priming", "boot failed", node=node_name)
                 self._obs_stage("boot_failed")
                 raise PrimingError(f"{node_name}: boot failed: {exc}") from exc
             assert vm.boot_plan is not None
-            trace(
-                self.sim, "priming", "guest booted",
-                node=node_name, seconds=round(vm.boot_plan.total_s, 2),
-                ramdisk=vm.boot_plan.ramdisk,
-            )
             self._obs_stage("guest_booted")
 
             # Dynamic configuration for internetworking (§4.3).
@@ -209,10 +187,6 @@ class SODADaemon:
                 component=component,
             )
             self.nodes_primed += 1
-            trace(
-                self.sim, "priming", "node primed",
-                node=node_name, ip=ip, entrypoint=entrypoint,
-            )
             self._obs_stage("node_primed")
             return node
         except PrimingError:

@@ -44,7 +44,6 @@ from repro.image.repository import ImageRepository
 from repro.net.lan import LAN
 from repro.obs.metrics import registry_of
 from repro.sim.kernel import Event, Simulator
-from repro.sim.trace import trace
 
 if TYPE_CHECKING:  # imported lazily at call sites to keep core -> sla acyclic
     from repro.sla.contract import SLAContract
@@ -150,11 +149,6 @@ class SODAMaster:
             self._obs_admission("rejected")
             raise
         self._obs_admission("admitted")
-        trace(
-            self.sim, "master", "service admitted",
-            service=service_name, requirement=str(requirement),
-            nodes=plan.n_nodes,
-        )
         record = ServiceRecord(
             name=service_name,
             asp=asp,
@@ -223,10 +217,6 @@ class SODAMaster:
             record.switch.shedder = ClassPriorityShedder(sla.service_class)
         record.transition(ServiceState.RUNNING)
         record.primed_at = self.sim.now
-        trace(
-            self.sim, "master", "switch created",
-            service=service_name, backends=len(config),
-        )
         return record
 
     # -- partitionable services (§3.5 extension) ------------------------------
@@ -473,5 +463,4 @@ class SODAMaster:
             self.daemons[node.host.name].teardown_node(node)
         record.transition(ServiceState.TORN_DOWN)
         del self.services[service_name]
-        trace(self.sim, "master", "service torn down", service=service_name)
         return record

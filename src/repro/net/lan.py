@@ -62,8 +62,9 @@ residual/count tables and two of the four shares per flow per round; it
 runs the same rounds, fixes flows in the same order and makes the same
 clamped segment subtractions, so every rate is identical.  A slower NIC
 attached mid-run, a bandwidth raised past the slowest NIC, or any fault
-switches the next flush back to the NIC-aware pass.  The vectorized
-path for wide groups (``VECTORIZE_MIN_FLOWS``) is unchanged.
+switches the next flush back to the NIC-aware pass.  The fill is
+scalar for every group size: a NumPy fill of wide groups never beat it
+(MODELING.md §9).
 
 Heap entries
 ------------
@@ -103,17 +104,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
 
-import numpy as np
-
 from repro.sim.kernel import NORMAL, URGENT, Event, Simulator, _CallbackShim
 
 __all__ = ["NetworkInterface", "Flow", "LAN"]
-
-# Wire-group size at which the allocator switches from the scalar
-# progressive-filling loop to the vectorized one.  Small groups are
-# faster in pure Python (no array set-up cost); the crossover sits
-# around a couple dozen concurrent wire flows.
-VECTORIZE_MIN_FLOWS = 24
 
 # Rate granted to co-located (same-NIC) transfers, in MB/s.  Generous but
 # finite so loopback transfers still take simulated time.
@@ -278,17 +271,6 @@ class LAN:
         self._obs_transfers = None
         # Transfer-counter children by loopback flag, bound on first use.
         self._obs_transfer_kinds: Dict[bool, Any] = {}
-        # Preallocated scratch for the vectorized allocator, grown on
-        # demand and reused across flushes (see _compute_wire_rates_vec).
-        self._vec_flows = 0
-        self._vec_caps: Optional[np.ndarray] = None
-        self._vec_src: Optional[np.ndarray] = None
-        self._vec_dst: Optional[np.ndarray] = None
-        self._vec_limit: Optional[np.ndarray] = None
-        self._vec_active: Optional[np.ndarray] = None
-        self._vec_nics = 0
-        self._vec_nic_res: Optional[np.ndarray] = None
-        self._vec_nic_count: Optional[np.ndarray] = None
 
     def _obs_bind(self, registry) -> None:
         self._obs_registry = registry
@@ -563,16 +545,12 @@ class LAN:
             nic_terms = True
         else:
             nic_terms = self._nic_floor_mbps < self.bandwidth_mbps
-            if nic_terms or len(wire) >= VECTORIZE_MIN_FLOWS:
+            if nic_terms:
                 residual = {}
                 count = {}
                 for nic, flows in self._nic_flows.items():
                     residual[nic] = nic.rate_mbs
                     count[nic] = len(flows)
-        if len(wire) >= VECTORIZE_MIN_FLOWS:
-            # Large groups: same fill, vectorized (bit-identical rates).
-            self._compute_wire_rates_vec(wire, residual, count)
-            return
         lan_residual = self.bandwidth_mbps / 8.0
         lan_count = len(wire)
         for flow in wire:
@@ -622,95 +600,6 @@ class LAN:
                     residual[dst] = left if left > 0.0 else 0.0
                     count[dst] -= 1
             assert progressed, "progressive filling must fix at least one flow"
-
-    def _vec_scratch(self, n_flows: int, n_nics: int) -> None:
-        """Size the reusable allocator buffers (amortised growth)."""
-        if n_flows > self._vec_flows:
-            size = max(n_flows, 2 * self._vec_flows)
-            self._vec_flows = size
-            self._vec_caps = np.empty(size)
-            self._vec_src = np.empty(size, dtype=np.intp)
-            self._vec_dst = np.empty(size, dtype=np.intp)
-            self._vec_limit = np.empty(size)
-            self._vec_active = np.empty(size, dtype=bool)
-        if n_nics > self._vec_nics:
-            size = max(n_nics, 2 * self._vec_nics)
-            self._vec_nics = size
-            self._vec_nic_res = np.empty(size)
-            self._vec_nic_count = np.empty(size)
-
-    def _compute_wire_rates_vec(
-        self,
-        wire: List[Flow],
-        residual: Dict[NetworkInterface, float],
-        count: Dict[NetworkInterface, int],
-    ) -> None:
-        """The progressive fill over preallocated numpy buffers.
-
-        Bit-identical to the scalar pass by construction: each round's
-        per-flow limits are the same IEEE-754 divisions and mins (per-NIC
-        shares are computed once per round, but from the same operands
-        the scalar loop divides per flow), the bottleneck is the same
-        minimum, and the fixing pass subtracts residuals *sequentially in
-        arrival order* with the same clamping — only the O(flows)-per-
-        round limit computation is vectorized, which is where the scalar
-        allocator spends its time on fleet-sized wire groups.
-        """
-        n = len(wire)
-        nic_pos: Dict[NetworkInterface, int] = {}
-        nics: List[NetworkInterface] = []
-        for nic in residual:
-            nic_pos[nic] = len(nics)
-            nics.append(nic)
-        self._vec_scratch(n, len(nics))
-        caps = self._vec_caps[:n]
-        src_idx = self._vec_src[:n]
-        dst_idx = self._vec_dst[:n]
-        limit = self._vec_limit[:n]
-        active = self._vec_active[:n]
-        m = len(nics)
-        nic_res = self._vec_nic_res[:m]
-        nic_count = self._vec_nic_count[:m]
-        for i, flow in enumerate(wire):
-            caps[i] = flow._cap_mbs
-            src_idx[i] = nic_pos[flow.src]
-            dst_idx[i] = nic_pos[flow.dst]
-        for nic, p in nic_pos.items():
-            nic_res[p] = residual[nic]
-            nic_count[p] = count[nic]
-        active[:] = True
-        lan_residual = self.bandwidth_mbps / 8.0
-        lan_count = n
-        unfixed = n
-        while unfixed:
-            # Round limits: min(cap, segment share, src share, dst share)
-            # for every still-unfixed flow, in one vector pass.  Fixed
-            # positions may compute garbage (their NIC counts can be 0);
-            # they are masked out below.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = nic_res / nic_count
-                np.minimum(caps, lan_residual / lan_count, out=limit)
-                np.minimum(limit, share[src_idx], out=limit)
-                np.minimum(limit, share[dst_idx], out=limit)
-            bottleneck = limit[active].min()
-            threshold = bottleneck + _EPS
-            # Fixing pass: arrival order, sequential subtraction with
-            # clamping — float-for-float the scalar allocator's updates.
-            fixed_now = np.nonzero(active & (limit <= threshold))[0]
-            for i in fixed_now:
-                flow_limit = float(limit[i])
-                wire[i].rate_mbs = flow_limit
-                active[i] = False
-                unfixed -= 1
-                lan_residual -= flow_limit
-                if lan_residual < 0.0:
-                    lan_residual = 0.0
-                lan_count -= 1
-                for p in (src_idx[i], dst_idx[i]):
-                    left = nic_res[p] - flow_limit
-                    nic_res[p] = left if left > 0.0 else 0.0
-                    nic_count[p] -= 1
-            assert len(fixed_now), "progressive filling must fix at least one flow"
 
     def _arm_wake(self) -> None:
         """Arm a wake-up at the next flow-completion instant."""

@@ -342,8 +342,8 @@ class MetricsRegistry:
 def registry_of(sim) -> Optional[MetricsRegistry]:
     """The registry attached to ``sim``, if any (else ``None``).
 
-    Mirrors the :func:`repro.sim.trace.trace` convention: observability
-    is attached to the simulator object, and every instrumentation site
-    degrades to one attribute lookup when nothing is attached.
+    Like :func:`repro.obs.tracing.tracer_of`: observability is attached
+    to the simulator object, and every instrumentation site degrades to
+    one attribute lookup when nothing is attached.
     """
     return getattr(sim, "metrics", None)

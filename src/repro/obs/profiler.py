@@ -2,8 +2,8 @@
 
 A :class:`KernelProfiler` installed on a
 :class:`~repro.sim.kernel.Simulator` (``sim.set_profiler(profiler)``)
-makes the kernel dispatch every heap entry through a profiled loop that
-records, per *callback site*:
+makes the kernel's run loops dispatch every heap entry through their
+profiled branch, which records, per *callback site*:
 
 * how many events fired there, and
 * the wall-clock (host) time their callbacks consumed,
@@ -17,9 +17,8 @@ one row.
 The profiler measures **wall time only**; it never reads or writes
 simulated state, so a profiled run produces bit-identical simulation
 results (the determinism guard pins this).  With no profiler installed
-the kernel keeps its allocation-free fast loop — the opt-in costs one
-``is not None`` check per :meth:`~repro.sim.kernel.Simulator.run` call,
-not per event.
+the loops take their allocation-free branch — the opt-in costs one
+``is None`` check on a local per event.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ class KernelProfiler:
         self.collapse_instances = collapse_instances
         self._site_cache: Dict[str, str] = {}
 
-    # -- kernel-facing API (called from the profiled loop) -------------------
+    # -- kernel-facing API (called from the profiled branch) -----------------
     def install(self, sim, reset: bool = False) -> "KernelProfiler":
-        """Attach to ``sim``; subsequent runs use the profiled loop.
+        """Attach to ``sim``; subsequent runs take the profiled branch.
 
         Statistics **accumulate** across ``run(until=...)`` resumptions
         and re-installs — a federated shard advancing in epoch slices

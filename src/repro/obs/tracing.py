@@ -181,8 +181,8 @@ class RequestTracer:
 
     ``capacity`` bounds memory as a ring buffer over *spans*: when full,
     the oldest spans are evicted (``dropped`` counts them) and the
-    newest are retained — the same newest-wins semantics as
-    :class:`repro.sim.trace.Tracer`.
+    newest are retained, so a bounded trace of a long run shows how
+    it ended.
     """
 
     def __init__(self, capacity: Optional[int] = None, namespace: Optional[str] = None):

@@ -65,6 +65,8 @@ __all__ = [
 URGENT = 0
 NORMAL = 1
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (running a dead simulator, double-firing
@@ -178,7 +180,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative timeout delay: {delay!r}")
         # Inlined Event.__init__ plus scheduling: a Timeout is born
         # triggered, so it goes straight onto the heap.
@@ -456,8 +458,8 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._catch_process_failures = catch_process_failures
         # Opt-in kernel profiler (duck-typed; see repro.obs.profiler).
-        # When None — the default — run()/run_until_process() use the
-        # allocation-free fast loops below, unchanged.
+        # When None — the default — run()/run_until_process() take the
+        # allocation-free branch of their dispatch loops.
         self._profiler: Optional[Any] = None
 
     # -- clock ------------------------------------------------------------
@@ -494,10 +496,11 @@ class Simulator:
         The profiler is duck-typed — it needs ``record(site, wall_s)``
         and ``note_heap_depth(depth)`` — so the kernel stays free of
         observability imports.  With a profiler installed, ``run()`` and
-        ``run_until_process()`` dispatch through a profiled loop that
-        times every callback site; the profiler only *measures* (wall
-        clock, heap depth), so simulation results are bit-identical
-        either way.  ``step()`` is never profiled.
+        ``run_until_process()`` dispatch every event through
+        :meth:`_dispatch_profiled`, which times its callback site; the
+        profiler only *measures* (wall clock, heap depth), so simulation
+        results are bit-identical either way.  ``step()`` is never
+        profiled.
         """
         self._profiler = profiler
 
@@ -580,7 +583,7 @@ class Simulator:
         sequence counter, so callers control same-instant tie-breaking by
         the order of their ``schedule_at`` calls.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"schedule_at({time}) is in the past (now={self._now})"
             )
@@ -618,49 +621,52 @@ class Simulator:
         # is the hottest couple of lines in the entire repository.
         # Events cannot be scheduled in the past (delay >= 0 always), so
         # the monotonicity assertion in step() is skipped here.
-        if self._profiler is not None:
-            return self._run_profiled(until)
+        if until is None:
+            limit = _INF
+        elif not until >= self._now:  # also rejects NaN
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        else:
+            limit = until
         heap = self._heap
         pop = _heappop
+        profiler = self._profiler
+        while heap:
+            # Pop, then push back the one entry past ``until``: a compare
+            # on the popped time costs less per event than peeking at
+            # heap[0].  Keys are unique, so the firing order is unchanged.
+            entry = pop(heap)
+            now = entry[0]
+            if now > limit:
+                _heappush(heap, entry)
+                break
+            self._now = now
+            if profiler is None:
+                target = entry[3]
+                if target is None:
+                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    for callback in callbacks:
+                        callback(target)
+            else:
+                profiler.note_heap_depth(len(heap) + 1)  # depth before the pop
+                self._dispatch_profiled(entry, profiler)
         if until is not None:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
-            while heap and heap[0][0] <= until:
-                entry = pop(heap)
-                self._now = entry[0]
-                target = entry[3]
-                if target is None:
-                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
-                else:
-                    callbacks = target.callbacks
-                    target.callbacks = None
-                    for callback in callbacks:
-                        callback(target)
             self._now = until
-        else:
-            while heap:
-                entry = pop(heap)
-                self._now = entry[0]
-                target = entry[3]
-                if target is None:
-                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
-                else:
-                    callbacks = target.callbacks
-                    target.callbacks = None
-                    for callback in callbacks:
-                        callback(target)
 
-    def run_until_process(self, process: Process, limit: float = float("inf")) -> Any:
+    def run_until_process(self, process: Process, limit: float = _INF) -> Any:
         """Run until ``process`` completes; return its value.
 
         Raises the process's exception if it failed, or
         :class:`SimulationError` if the heap drains (deadlock) or the
         clock passes ``limit`` before completion.
         """
-        if self._profiler is not None:
-            return self._run_until_process_profiled(process, limit)
+        if limit != limit:  # NaN: no event time would ever exceed it
+            raise ValueError(f"limit={limit} is not a number")
         heap = self._heap
         pop = _heappop
+        profiler = self._profiler
         while process._ok is None:
             if not heap:
                 raise SimulationError(
@@ -670,16 +676,22 @@ class Simulator:
                 raise SimulationError(
                     f"time limit {limit} exceeded waiting for process {process.name!r}"
                 )
-            entry = pop(heap)
-            self._now = entry[0]
-            target = entry[3]
-            if target is None:
-                entry[4]._resume_direct(entry[5], entry[6], entry[7])
+            if profiler is None:
+                entry = pop(heap)
+                self._now = entry[0]
+                target = entry[3]
+                if target is None:
+                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    for callback in callbacks:
+                        callback(target)
             else:
-                callbacks = target.callbacks
-                target.callbacks = None
-                for callback in callbacks:
-                    callback(target)
+                profiler.note_heap_depth(len(heap))
+                entry = pop(heap)
+                self._now = entry[0]
+                self._dispatch_profiled(entry, profiler)
         return process.value
 
     # -- profiled dispatch (opt-in; see set_profiler) -----------------------
@@ -721,47 +733,6 @@ class Simulator:
                 callback(target)
             elapsed = _perf_counter() - began
         profiler.record(site, elapsed)
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        """run() with the installed profiler timing every dispatch."""
-        profiler = self._profiler
-        heap = self._heap
-        pop = _heappop
-        if until is not None:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
-            while heap and heap[0][0] <= until:
-                profiler.note_heap_depth(len(heap))
-                entry = pop(heap)
-                self._now = entry[0]
-                self._dispatch_profiled(entry, profiler)
-            self._now = until
-        else:
-            while heap:
-                profiler.note_heap_depth(len(heap))
-                entry = pop(heap)
-                self._now = entry[0]
-                self._dispatch_profiled(entry, profiler)
-
-    def _run_until_process_profiled(self, process: Process, limit: float) -> Any:
-        """run_until_process() with profiled dispatch."""
-        profiler = self._profiler
-        heap = self._heap
-        pop = _heappop
-        while process._ok is None:
-            if not heap:
-                raise SimulationError(
-                    f"deadlock: heap drained before process {process.name!r} finished"
-                )
-            if heap[0][0] > limit:
-                raise SimulationError(
-                    f"time limit {limit} exceeded waiting for process {process.name!r}"
-                )
-            profiler.note_heap_depth(len(heap))
-            entry = pop(heap)
-            self._now = entry[0]
-            self._dispatch_profiled(entry, profiler)
-        return process.value
 
 
 class _CallbackShim:

@@ -12,6 +12,7 @@ from repro.core.errors import (
     ServiceNotFoundError,
 )
 from repro.core.service import ServiceState
+from repro.obs import MetricsRegistry
 from tests.core.conftest import create_service
 
 
@@ -102,6 +103,24 @@ def test_bridge_knows_each_node(testbed):
     for node in record.nodes:
         bridge = testbed.daemons[node.host.name].networking
         assert bridge.resolve(node.source_ip) is node.vm
+
+
+def test_priming_pipeline_counted_once_per_stage(testbed):
+    """One n=1 creation counts each priming stage once, on its host."""
+    registry = MetricsRegistry()
+    testbed.sim.metrics = registry
+    _, record = create_service(testbed, n=1)
+    host = record.nodes[0].host.name
+    stages = ["slice_reserved", "image_downloaded", "rootfs_tailored",
+              "guest_booted", "node_primed"]
+    priming = registry.get("soda_daemon_priming_total")
+    assert {labels: child.value for labels, child in priming.samples()} == {
+        (host, stage): 1.0 for stage in stages
+    }
+    admissions = registry.get("soda_master_admissions_total")
+    assert {labels: child.value for labels, child in admissions.samples()} == {
+        ("admitted",): 1.0
+    }
 
 
 def test_admission_failure_when_hup_full(testbed):

@@ -1,4 +1,4 @@
-"""Tests for the kernel profiler and the kernel's profiled loops."""
+"""Tests for the kernel profiler and the kernel's profiled dispatch."""
 
 from repro.obs.profiler import KernelProfiler, profiler_of
 from repro.sim.kernel import Simulator

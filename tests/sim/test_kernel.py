@@ -13,6 +13,16 @@ from repro.sim import (
     SimulationError,
     Simulator,
 )
+from repro.obs.profiler import KernelProfiler
+
+NAN = float("nan")
+
+
+def dispatch_sims():
+    """One simulator per branch of the run loops' profiler check."""
+    profiled = Simulator()
+    KernelProfiler().install(profiled)
+    return [Simulator(), profiled]
 
 
 def test_clock_starts_at_zero():
@@ -38,6 +48,12 @@ def test_timeout_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
+    with pytest.raises(ValueError):
+        sim.timeout(NAN)
+    with pytest.raises(ValueError):
+        sim.schedule_at(NAN, lambda: None)
+    assert sim.peek() == float("inf")  # nothing reached the heap
+    sim.timeout(float("inf"))  # an event that never fires is still valid
 
 
 def test_timeout_carries_value():
@@ -83,16 +99,16 @@ def test_same_time_ties_broken_by_scheduling_order():
 
 
 def test_run_until_stops_clock_at_until():
-    sim = Simulator()
-
     def proc(sim):
         yield sim.timeout(100)
 
-    sim.process(proc(sim))
-    sim.run(until=30)
-    assert sim.now == 30
-    sim.run(until=200)
-    assert sim.now == 200
+    for sim in dispatch_sims():
+        sim.process(proc(sim))
+        sim.run(until=30)
+        assert sim.now == 30
+        sim.run(until=200)
+        assert sim.now == 200
+        assert sim.profiler is None or sim.profiler.events_total == 3
 
 
 def test_run_until_in_past_rejected():
@@ -100,6 +116,15 @@ def test_run_until_in_past_rejected():
     sim.run(until=10)
     with pytest.raises(ValueError):
         sim.run(until=5)
+    with pytest.raises(ValueError):
+        sim.run(until=NAN)
+    assert sim.now == 10
+
+    def proc(sim):
+        yield sim.timeout(1)
+
+    with pytest.raises(ValueError):
+        sim.run_until_process(sim.process(proc(sim)), limit=NAN)
 
 
 def test_process_return_value_visible_to_waiter():
@@ -371,25 +396,25 @@ def test_run_until_process_returns_value():
 
 
 def test_run_until_process_detects_deadlock():
-    sim = Simulator()
-
     def stuck(sim):
         yield sim.event()  # never triggered
 
-    p = sim.process(stuck(sim))
-    with pytest.raises(SimulationError, match="deadlock"):
-        sim.run_until_process(p)
+    for sim in dispatch_sims():
+        p = sim.process(stuck(sim))
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_process(p)
+        assert sim.profiler is None or sim.profiler.events_total == 1
 
 
 def test_run_until_process_respects_limit():
-    sim = Simulator()
-
     def slow(sim):
         yield sim.timeout(1000)
 
-    p = sim.process(slow(sim))
-    with pytest.raises(SimulationError, match="limit"):
-        sim.run_until_process(p, limit=10)
+    for sim in dispatch_sims():
+        p = sim.process(slow(sim))
+        with pytest.raises(SimulationError, match="limit"):
+            sim.run_until_process(p, limit=10)
+        assert sim.profiler is None or sim.profiler.events_total == 1
 
 
 def test_peek_and_step():
