@@ -9,7 +9,7 @@ test:
 	PYTHONPATH=src python -m pytest -x -q
 
 lint:
-	ruff check src/ tests/ examples/
+	ruff check src/ tests/ examples/ benchmarks/
 
 # Chaos soak: the seeded fault campaign over the open-loop web workload,
 # run for each of the three pinned seeds (0, 7, 123).

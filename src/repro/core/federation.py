@@ -12,6 +12,10 @@ registration order (the original behaviour); the market layer provides
 a cheapest-spot-price strategy
 (:func:`repro.market.placement.cheapest_spot_price`) so price-aware
 federations route tenants to the member currently charging least.
+
+The global tier of the sharded wide-area federation — the geo-aware
+:class:`~repro.sim.parallel.GeoBroker` — lives in :mod:`repro.sim.parallel`,
+next to the cluster shards that host it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.core.requirements import ResourceRequirement
 from repro.image.repository import ImageRepository
 from repro.sim.kernel import Event
 
-__all__ = ["FederatedHUP", "GeoBroker", "first_fit", "nearest_first"]
+__all__ = ["FederatedHUP", "first_fit", "nearest_first"]
 
 #: A selection strategy: (requirement, members) -> member names in try order.
 SelectionStrategy = Callable[
@@ -64,98 +68,6 @@ def nearest_first(
         return sorted(members, key=distance)
 
     return strategy
-
-
-class GeoBroker:
-    """The global tier of a two-level federation: geo-aware placement.
-
-    Per-cluster masters stay autonomous; the broker only decides *which*
-    cluster hosts a new service, from (a) the WAN latency between the
-    requesting cluster and each candidate and (b) the candidates'
-    advertised capacity and current placement load.  The broker is pure
-    decision logic — it holds **no live references to remote clusters**.
-    In a sharded run its inter-cluster calls (placement requests in,
-    placement broadcasts and image pushes out) travel the epoch-barrier
-    message plane of :mod:`repro.sim.parallel` instead of direct object
-    calls, which is what lets the federation simulate in parallel.
-
-    Determinism: decisions depend only on the latency map, the capacity
-    advertisements, and the order of :meth:`place` calls (ties break by
-    cluster name), so every shard layout replays them identically.
-    """
-
-    def __init__(
-        self,
-        home: str,
-        latency_s: Dict[tuple, float],
-        capacity: Dict[str, int],
-    ):
-        if home not in capacity:
-            raise ValueError(f"broker home {home!r} not among clusters {sorted(capacity)}")
-        if not capacity or any(n < 1 for n in capacity.values()):
-            raise ValueError("every cluster needs a positive advertised capacity")
-        self.home = home
-        self._latency = dict(latency_s)
-        self.capacity = dict(capacity)
-        self.placements: Dict[str, str] = {}  # service -> hosting cluster
-        self.load: Dict[str, int] = {name: 0 for name in capacity}
-        self._placements_metric = None
-
-    def instrument(self, registry) -> "GeoBroker":
-        """Count placement decisions in ``registry``, by chosen cluster.
-
-        Observe-only: the counter never feeds back into :meth:`place`,
-        so instrumented and bare brokers decide identically.
-        """
-        self._placements_metric = registry.counter(
-            "soda_broker_placements_total",
-            "Broker placement decisions, by chosen hosting cluster.",
-            ("cluster",),
-        )
-        return self
-
-    def latency(self, a: str, b: str) -> float:
-        """One-way WAN latency between two clusters (0 for a == b)."""
-        if a == b:
-            return 0.0
-        lat = self._latency.get((a, b), self._latency.get((b, a)))
-        if lat is None:
-            raise KeyError(f"no WAN latency declared between {a!r} and {b!r}")
-        return lat
-
-    def seed(self, service: str, cluster: str) -> None:
-        """Record a pre-existing placement (initial topology state)."""
-        if service in self.placements:
-            raise ValueError(f"service {service!r} already placed")
-        if cluster not in self.capacity:
-            raise ValueError(f"unknown cluster {cluster!r}")
-        self.placements[service] = cluster
-        self.load[cluster] += 1
-
-    def place(self, service: str, origin: str) -> str:
-        """Choose the hosting cluster for ``service`` requested by ``origin``.
-
-        Geo-aware first (lowest WAN latency from the requester), then
-        least-loaded relative to advertised capacity, then name — a
-        total order, so the choice is deterministic.
-        """
-        if service in self.placements:
-            raise ValueError(f"service {service!r} already placed")
-        if origin not in self.capacity:
-            raise ValueError(f"unknown origin cluster {origin!r}")
-        chosen = min(
-            self.capacity,
-            key=lambda c: (
-                self.latency(origin, c),
-                self.load[c] / self.capacity[c],
-                c,
-            ),
-        )
-        self.placements[service] = chosen
-        self.load[chosen] += 1
-        if self._placements_metric is not None:
-            self._placements_metric.inc(cluster=chosen)
-        return chosen
 
 
 class FederatedHUP:

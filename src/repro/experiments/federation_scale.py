@@ -259,8 +259,8 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentResult:
         "bit-identical across worker counts "
         f"{tuple(worker_counts)} — the conservative epoch barrier "
         "(global sort by deliver-time, sender, sequence) makes the "
-        "process layout unobservable.  Wall times on this host share "
-        "one core; see BENCH for the critical-path projection.  "
+        "process layout unobservable.  Wall times depend on the "
+        "host's core count; see BENCH for the critical-path projection.  "
         f"Observability on: digests unchanged, {stats['spans']} spans in "
         f"{stats['traces']} federation-wide traces reassembled "
         "byte-identically at every worker count."

@@ -18,8 +18,8 @@ each pillar needs a federation layer:
   zero-padded IDs make lexical order creation order.
 * **Metrics federation** — per-shard registry snapshots
   (:meth:`~repro.obs.metrics.MetricsRegistry.dump`) ship to the
-  coordinator at every epoch barrier; :class:`FederatedMetrics` keeps
-  the newest snapshot per shard and merges them into one exposition
+  coordinator once, at the end of the run; :class:`FederatedMetrics`
+  keeps the newest snapshot per shard and merges them into one exposition
   with a ``shard`` label: counters *sum* into any existing child,
   gauges are last-write-wins per ``(shard, name, labels)``, histogram
   bucket counts add.  Federation-level gauges report the epoch number,
@@ -157,9 +157,9 @@ def trace_completeness(spans: List[Dict[str, Any]]) -> Dict[str, int]:
 class FederatedMetrics:
     """Merges per-shard registry snapshots into one exposition.
 
-    The coordinator calls :meth:`update` with each shard's
-    :meth:`~repro.obs.metrics.MetricsRegistry.dump` at every epoch
-    barrier (newest snapshot wins — dumps are cumulative) and
+    The coordinator calls :meth:`update` once per shard with its final
+    :meth:`~repro.obs.metrics.MetricsRegistry.dump` (newest snapshot
+    wins — dumps are cumulative, so the last covers the run) and
     :meth:`note_epoch` / :meth:`note_barrier_wait` with its own
     accounting.  :meth:`merge_into` applies the merge rules against any
     registry; :meth:`render` produces the standalone Prometheus text.

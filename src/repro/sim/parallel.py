@@ -18,6 +18,10 @@ This module shards a federated run across sub-kernels:
   :class:`ShardMessage` values — never live object references.
 * The **epoch coordinator** (:func:`run_federation`) advances global
   time in epochs of ``min(latency_s)`` over all inter-cluster links.
+  It is one loop over N workers: each worker steps its shards
+  (:class:`_Shards`), in-process when N = 1 and behind a pipe in a fork
+  worker when N > 1, and the coordinator records every shard's epoch
+  CPU in one :class:`~repro.obs.federation.FederationProfiler` ledger.
   Within an epoch ``[T, T + L)`` every shard simulates independently
   (``Simulator.run(until=horizon)`` parks each kernel exactly at the
   barrier; ``Simulator.schedule_at`` re-injects work for the next leg).
@@ -33,16 +37,16 @@ This module shards a federated run across sub-kernels:
   which are identical whatever the process layout; and the barrier sort
   key is global and total, so same-instant deliveries are scheduled in
   the same kernel order everywhere.  ``run_federation`` therefore
-  produces **bit-identical digests** for 1 (in-process serial), 2, 4,
-  ... worker processes — the determinism guard pins this.
+  produces **bit-identical digests** for 1 (in-process), 2, 4, ...
+  worker processes — the determinism guard pins this.
 
 The cross-cluster message kinds exercised by the shard model:
 
 * ``dispatch`` / ``reply`` — geo-routed request batches served by a
   remote replica, round-trip accounted at the origin,
 * ``place`` / ``placed`` — broker placement calls: a shard asks the
-  global :class:`~repro.core.federation.GeoBroker` (hosted on its home
-  shard) to place a new service; the decision is broadcast,
+  global :class:`GeoBroker` (hosted on its home shard) to place a new
+  service; the decision is broadcast,
 * ``xfer`` — the service image pushed over the WAN to the chosen host
   (a latency-plus-bandwidth :class:`~repro.net.wan.WanTransferDescriptor`
   delay); dispatches that beat the image wait in a pending queue.
@@ -51,11 +55,12 @@ The cross-cluster message kinds exercised by the shard model:
 from __future__ import annotations
 
 import hashlib
+import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.federation import GeoBroker
 from repro.net.wan import WanTransferDescriptor
 from repro.obs.federation import (
     FederatedMetrics,
@@ -83,6 +88,7 @@ __all__ = [
     "ClusterSpec",
     "WanEdgeSpec",
     "FederationTopology",
+    "GeoBroker",
     "ClusterShard",
     "FederationRun",
     "run_federation",
@@ -92,6 +98,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Pure-data topology (everything picklable: specs cross process boundaries).
 # ---------------------------------------------------------------------------
+
+def _require(value: float, name: str, positive: bool = False) -> None:
+    """Reject NaN, inf and negatives (and zero when ``positive``)."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+
 
 @dataclass(frozen=True)
 class ShardMessage:
@@ -135,10 +148,9 @@ class GeoServiceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("geo service needs a name")
-        if self.service_s <= 0:
-            raise ValueError(f"service_s must be positive, got {self.service_s}")
-        if self.request_mb < 0 or self.response_mb < 0:
-            raise ValueError("payload sizes must be non-negative")
+        _require(self.service_s, "service_s", positive=True)
+        _require(self.request_mb, "request_mb")
+        _require(self.response_mb, "response_mb")
 
 
 @dataclass(frozen=True)
@@ -159,8 +171,8 @@ class ClusterSpec:
             raise ValueError("cluster needs a name")
         if self.n_hosts < 1:
             raise ValueError(f"n_hosts must be >= 1, got {self.n_hosts}")
-        if self.geo_rps < 0:
-            raise ValueError(f"geo_rps must be non-negative, got {self.geo_rps}")
+        _require(self.host_cpu_mhz, "host_cpu_mhz", positive=True)
+        _require(self.geo_rps, "geo_rps")
         if self.geo_mean_batch < 1:
             raise ValueError(f"geo_mean_batch must be >= 1, got {self.geo_mean_batch}")
         if self.n_placements < 0:
@@ -179,15 +191,12 @@ class WanEdgeSpec:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("a WAN edge joins two distinct clusters")
-        if self.latency_s <= 0:
+        if not (math.isfinite(self.latency_s) and self.latency_s > 0):
             raise ValueError(
                 "conservative synchronization needs a positive latency "
                 f"(lookahead), got {self.latency_s}"
             )
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(
-                f"bandwidth must be positive, got {self.bandwidth_mbps}"
-            )
+        _require(self.bandwidth_mbps, "bandwidth_mbps", positive=True)
 
     def descriptor(self, size_mb: float, label: str = "") -> WanTransferDescriptor:
         return WanTransferDescriptor(
@@ -216,8 +225,10 @@ class FederationTopology:
             raise ValueError("a federation needs at least two clusters")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate cluster names: {names}")
-        if self.image_mb <= 0:
-            raise ValueError(f"image_mb must be positive, got {self.image_mb}")
+        _require(self.image_mb, "image_mb", positive=True)
+        _require(self.placed_service_s, "placed_service_s", positive=True)
+        _require(self.placed_request_mb, "placed_request_mb")
+        _require(self.placed_response_mb, "placed_response_mb")
         broker = self.broker or names[0]
         if broker not in names:
             raise ValueError(f"broker cluster {broker!r} not in {sorted(names)}")
@@ -284,6 +295,98 @@ class _DirectoryEntry:
         self.request_mb = request_mb
         self.response_mb = response_mb
         self.ready = ready
+
+
+class GeoBroker:
+    """The global tier of a two-level federation: geo-aware placement.
+
+    Per-cluster masters stay autonomous; the broker only decides *which*
+    cluster hosts a new service, from (a) the WAN latency between the
+    requesting cluster and each candidate and (b) the candidates'
+    advertised capacity and current placement load.  The broker is pure
+    decision logic — it holds **no live references to remote clusters**.
+    Its inter-cluster calls (placement requests in, placement broadcasts
+    and image pushes out) travel the epoch-barrier message plane of its
+    home :class:`ClusterShard` instead of direct object calls, which is
+    what lets the federation simulate in parallel.
+
+    Determinism: decisions depend only on the latency map, the capacity
+    advertisements, and the order of :meth:`place` calls (ties break by
+    cluster name), so every shard layout replays them identically.
+    """
+
+    def __init__(
+        self,
+        home: str,
+        latency_s: Dict[tuple, float],
+        capacity: Dict[str, int],
+    ):
+        if home not in capacity:
+            raise ValueError(f"broker home {home!r} not among clusters {sorted(capacity)}")
+        if not capacity or any(n < 1 for n in capacity.values()):
+            raise ValueError("every cluster needs a positive advertised capacity")
+        self.home = home
+        self._latency = dict(latency_s)
+        self.capacity = dict(capacity)
+        self.placements: Dict[str, str] = {}  # service -> hosting cluster
+        self.load: Dict[str, int] = {name: 0 for name in capacity}
+        self._placements_metric = None
+
+    def instrument(self, registry) -> "GeoBroker":
+        """Count placement decisions in ``registry``, by chosen cluster.
+
+        Observe-only: the counter never feeds back into :meth:`place`,
+        so instrumented and bare brokers decide identically.
+        """
+        self._placements_metric = registry.counter(
+            "soda_broker_placements_total",
+            "Broker placement decisions, by chosen hosting cluster.",
+            ("cluster",),
+        )
+        return self
+
+    def latency(self, a: str, b: str) -> float:
+        """One-way WAN latency between two clusters (0 for a == b)."""
+        if a == b:
+            return 0.0
+        lat = self._latency.get((a, b), self._latency.get((b, a)))
+        if lat is None:
+            raise KeyError(f"no WAN latency declared between {a!r} and {b!r}")
+        return lat
+
+    def seed(self, service: str, cluster: str) -> None:
+        """Record a pre-existing placement (initial topology state)."""
+        if service in self.placements:
+            raise ValueError(f"service {service!r} already placed")
+        if cluster not in self.capacity:
+            raise ValueError(f"unknown cluster {cluster!r}")
+        self.placements[service] = cluster
+        self.load[cluster] += 1
+
+    def place(self, service: str, origin: str) -> str:
+        """Choose the hosting cluster for ``service`` requested by ``origin``.
+
+        Geo-aware first (lowest WAN latency from the requester), then
+        least-loaded relative to advertised capacity, then name — a
+        total order, so the choice is deterministic.
+        """
+        if service in self.placements:
+            raise ValueError(f"service {service!r} already placed")
+        if origin not in self.capacity:
+            raise ValueError(f"unknown origin cluster {origin!r}")
+        chosen = min(
+            self.capacity,
+            key=lambda c: (
+                self.latency(origin, c),
+                self.load[c] / self.capacity[c],
+                c,
+            ),
+        )
+        self.placements[service] = chosen
+        self.load[chosen] += 1
+        if self._placements_metric is not None:
+            self._placements_metric.inc(cluster=chosen)
+        return chosen
 
 
 class ClusterShard:
@@ -405,8 +508,7 @@ class ClusterShard:
     # -- lifecycle ---------------------------------------------------------
     def start(self, duration_s: float) -> None:
         """Spawn the shard's driving processes (call once, at t=0)."""
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
+        _require(duration_s, "duration", positive=True)
         if self.fleet is not None:
             self.fleet.start(duration_s)
         if self.spec.geo_rps > 0:
@@ -746,7 +848,7 @@ class ClusterShard:
 
 
 # ---------------------------------------------------------------------------
-# The epoch coordinator: serial in-process or sharded across workers.
+# The epoch coordinator: one loop over N workers (serial is N = 1).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -759,12 +861,13 @@ class FederationRun:
     epochs: int
     messages: int
     lookahead_s: float
+    #: Per worker: CPU seconds its shards spent stepping epochs.
     worker_busy_s: List[float] = field(default_factory=list)
     #: Sum over epochs of the slowest worker's CPU time: the wall time
     #: the barrier structure would cost on dedicated cores.
     critical_path_s: float = 0.0
     #: Fraction of worker-slots spent waiting at barriers for the
-    #: slowest worker (load imbalance; 0.0 for the in-process serial run).
+    #: slowest worker (load imbalance; exactly 0.0 with one worker).
     barrier_stall_fraction: float = 0.0
     #: Reassembled federation-wide observability (``None`` unless an
     #: observability spec was passed).  Deliberately outside
@@ -803,8 +906,129 @@ def _route(messages: List[ShardMessage]) -> Dict[str, List[ShardMessage]]:
     return routed
 
 
-def _epoch_guard(duration_s: float, epoch_s: float) -> int:
-    return 4 * (int(duration_s / epoch_s) + 64)
+class _Shards:
+    """One worker's shards: built, started and stepped together.
+
+    The same object serves every worker count.  With one worker the
+    coordinator holds it and :meth:`post` answers at once; with more,
+    each fork worker holds one behind its pipe (:func:`_worker_main`).
+    Shards are independent within an epoch, so stepping them one after
+    another — deliver, advance, drain — equals stepping them phase by
+    phase.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[ClusterSpec],
+        topology: FederationTopology,
+        seed: int,
+        duration_s: float,
+        obs: Optional[FederationObservability],
+    ):
+        self.shards = {
+            spec.name: ClusterShard(spec, topology, seed, obs=obs)
+            for spec in sorted(specs, key=lambda spec: spec.name)
+        }
+        for shard in self.shards.values():
+            shard.start(duration_s)
+        self.names = list(self.shards)
+        self._reply: Any = None
+
+    def advance(
+        self, horizon: float, inbound: Dict[str, List[ShardMessage]]
+    ) -> Tuple[List[ShardMessage], Dict[str, float], bool]:
+        """One epoch: outbound messages, per-shard CPU, and quiescence."""
+        outbox: List[ShardMessage] = []
+        busy: Dict[str, float] = {}
+        for name, shard in self.shards.items():
+            began = time.process_time()
+            shard.deliver(inbound.get(name, ()))
+            shard.advance(horizon)
+            outbox.extend(shard.drain_outbox())
+            busy[name] = time.process_time() - began
+        return outbox, busy, all(shard.quiet() for shard in self.shards.values())
+
+    def digest(self) -> Dict[str, Dict[str, Any]]:
+        return {name: shard.digest() for name, shard in self.shards.items()}
+
+    def obs_payload(self) -> Dict[str, Dict[str, Any]]:
+        return {name: shard.obs_payload() for name, shard in self.shards.items()}
+
+    # -- the worker protocol, in-process: every post answers at once -------
+    def post(self, verb: str, *args: Any) -> None:
+        self._reply = getattr(self, verb)(*args)
+
+    def collect(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+
+def _worker_main(conn, specs, topology, seed, duration_s, obs) -> None:
+    """A fork worker: one :class:`_Shards` serving the coordinator's verbs.
+
+    A verb that raises is answered with the exception and its formatted
+    traceback, so the coordinator re-raises what an in-process run would.
+    """
+    try:
+        shards = _Shards(specs, topology, seed, duration_s, obs)
+        while True:
+            verb, args = conn.recv()
+            if verb == "stop":
+                break
+            try:
+                conn.send((True, getattr(shards, verb)(*args)))
+            except Exception as exc:
+                conn.send((False, (exc, traceback.format_exc())))
+    finally:
+        conn.close()
+
+
+class _Forked:
+    """A fork worker seen from the coordinator: post a verb, collect its reply."""
+
+    def __init__(self, ctx, specs: Sequence[ClusterSpec], *build: Any):
+        self.names = sorted(spec.name for spec in specs)
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_worker_main, args=(child, specs, *build), daemon=True
+        )
+        self.process.start()
+        child.close()
+
+    def post(self, verb: str, *args: Any) -> None:
+        self.conn.send((verb, args))
+
+    def collect(self) -> Any:
+        ok, reply = self.conn.recv()
+        if ok:
+            return reply
+        from multiprocessing.pool import RemoteTraceback
+
+        exc, formatted = reply
+        raise exc from RemoteTraceback(formatted)
+
+    def close(self) -> None:
+        try:
+            self.conn.send(("stop", ()))
+        except OSError:  # the worker is already gone
+            pass
+        self.conn.close()
+        self.process.join(timeout=30)
+        if self.process.is_alive():  # pragma: no cover - defensive
+            self.process.terminate()
+            self.process.join(timeout=5)
+
+
+def _gather(workers: Sequence[Any], verb: str) -> Dict[str, Any]:
+    """Post ``verb`` to every worker, then merge their per-shard replies."""
+    for worker in workers:
+        worker.post(verb)
+    merged: Dict[str, Any] = {}
+    for worker in workers:
+        merged.update(worker.collect())
+    return merged
 
 
 def run_federation(
@@ -816,11 +1040,13 @@ def run_federation(
 ) -> FederationRun:
     """Run the federated topology to quiescence; any worker count.
 
-    ``n_workers == 1`` runs every shard in-process (the single-process
-    reference execution).  ``n_workers > 1`` assigns shards round-robin
-    to persistent worker processes and exchanges messages through the
-    coordinator at every epoch barrier.  Digests are bit-identical
-    across worker counts by construction (see the module docstring).
+    Shards are assigned round-robin (in name order) to ``n_workers``
+    workers: with one worker the coordinator steps them in-process, with
+    more each worker is a persistent fork process.  Either way the same
+    loop exchanges messages at every epoch barrier, and digests are
+    bit-identical across worker counts by construction (see the module
+    docstring).  A shard that raises surfaces here as the same exception
+    at every worker count.
 
     Passing an ``obs`` spec turns on federation-wide observability:
     every shard runs its own tracer/registry/profiler, contexts ride the
@@ -828,44 +1054,116 @@ def run_federation(
     (:attr:`FederationRun.observability`).  Digests are bit-identical
     with ``obs`` on or off — observability observes, never perturbs.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    _require(duration_s, "duration", positive=True)
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if obs is not None and not obs.enabled:
         obs = None
-    n_workers = min(n_workers, len(topology.clusters))
-    if n_workers == 1:
-        return _run_serial(topology, duration_s, seed, obs)
-    return _run_parallel(topology, duration_s, seed, n_workers, obs)
+    started = time.perf_counter()
+    names = sorted(spec.name for spec in topology.clusters)
+    n_workers = min(n_workers, len(names))
+    owners = {name: index % n_workers for index, name in enumerate(names)}
+    assignment = [
+        [topology.spec(name) for name in names if owners[name] == worker]
+        for worker in range(n_workers)
+    ]
+    build = (topology, seed, duration_s, obs)
+    epoch_s = topology.lookahead_s
+    guard = 4 * (int(duration_s / epoch_s) + 64)  # quiescence backstop
+    profiler = FederationProfiler(epoch_s, owners)
+    workers: List[Any] = []
+    try:
+        if n_workers == 1:
+            workers.append(_Shards(assignment[0], *build))
+        else:
+            import multiprocessing as mp
+
+            methods = mp.get_all_start_methods()
+            ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+            for specs in assignment:
+                workers.append(_Forked(ctx, specs, *build))
+        horizon = 0.0
+        epochs = 0
+        messages = 0
+        inflight: List[ShardMessage] = []
+        while True:
+            horizon += epoch_s
+            routed = _route(inflight)
+            for worker in workers:
+                inbound = {n: routed[n] for n in worker.names if n in routed}
+                worker.post("advance", horizon, inbound)
+            inflight = []
+            epoch_busy: Dict[str, float] = {}
+            all_quiet = True
+            for worker in workers:
+                outbox, busy, quiet = worker.collect()
+                inflight.extend(outbox)
+                epoch_busy.update(busy)
+                all_quiet = all_quiet and quiet
+            profiler.record_epoch(epoch_busy)
+            messages += len(inflight)
+            epochs += 1
+            if horizon >= duration_s and not inflight and all_quiet:
+                break
+            if epochs > guard:
+                raise RuntimeError(
+                    f"federation failed to quiesce within {guard} epochs "
+                    f"(horizon {horizon:.3f}s); check for self-sustaining "
+                    "message loops"
+                )
+        digests = _gather(workers, "digest")
+        payloads = _gather(workers, "obs_payload") if obs is not None else {}
+    finally:
+        for worker in workers:
+            worker.close()
+    wall = time.perf_counter() - started
+    return FederationRun(
+        digests={name: digests[name] for name in sorted(digests)},
+        n_workers=n_workers,
+        wall_s=wall,
+        epochs=epochs,
+        messages=messages,
+        lookahead_s=epoch_s,
+        worker_busy_s=profiler.worker_totals(),
+        critical_path_s=profiler.critical_path_s,
+        barrier_stall_fraction=profiler.stall_fraction,
+        observability=(
+            _assemble_obs(obs, profiler, payloads, epochs, messages)
+            if obs is not None
+            else None
+        ),
+    )
 
 
 def _assemble_obs(
     obs: FederationObservability,
-    profiler: Optional[FederationProfiler],
-    fed_metrics: Optional[FederatedMetrics],
+    profiler: FederationProfiler,
     payloads: Dict[str, Dict[str, Any]],
     epochs: int,
     messages: int,
 ) -> FederationObsResult:
-    """Reassemble per-shard observability payloads coordinator-side."""
+    """Reassemble per-shard observability payloads coordinator-side.
+
+    Each shard's registry ships once, in its end-of-run payload: dumps
+    are cumulative, so the final one is the whole run.
+    """
     spans: List[Dict[str, Any]] = []
     if obs.tracing:
         spans = merge_shard_spans(
             {name: payload["spans"] for name, payload in payloads.items()}
         )
-    if fed_metrics is not None:
+    fed_metrics = None
+    if obs.metrics:
+        fed_metrics = FederatedMetrics()
         for name in sorted(payloads):
-            if payloads[name]["metrics"] is not None:
-                fed_metrics.update(name, payloads[name]["metrics"])
+            fed_metrics.update(name, payloads[name]["metrics"])
         fed_metrics.note_epoch(epochs, messages)
-        if profiler is not None:
-            fed_metrics.note_barrier_wait(
-                {
-                    str(worker): wait
-                    for worker, wait in enumerate(profiler.barrier_wait_by_worker())
-                }
-            )
+        fed_metrics.note_barrier_wait(
+            {
+                str(worker): wait
+                for worker, wait in enumerate(profiler.barrier_wait_by_worker())
+            }
+        )
     return FederationObsResult(
         spans=spans,
         spans_dropped=sum(p["spans_dropped"] for p in payloads.values()),
@@ -876,279 +1174,4 @@ def _assemble_obs(
             for name, payload in sorted(payloads.items())
             if payload["profile"] is not None
         },
-    )
-
-
-def _run_serial(
-    topology: FederationTopology,
-    duration_s: float,
-    seed: int,
-    obs: Optional[FederationObservability] = None,
-) -> FederationRun:
-    started = time.perf_counter()
-    shards = {
-        spec.name: ClusterShard(spec, topology, seed, obs=obs)
-        for spec in topology.clusters
-    }
-    order = sorted(shards)
-    for name in order:
-        shards[name].start(duration_s)
-    epoch_s = topology.lookahead_s
-    guard = _epoch_guard(duration_s, epoch_s)
-    # All shards share the one in-process "worker": the federation
-    # profiler still attributes per-shard CPU, it just sees no stall.
-    profiler = (
-        FederationProfiler(epoch_s, {name: 0 for name in order})
-        if obs is not None
-        else None
-    )
-    fed_metrics = FederatedMetrics() if obs is not None and obs.metrics else None
-    horizon = 0.0
-    epochs = 0
-    messages = 0
-    inflight: List[ShardMessage] = []
-    while True:
-        horizon += epoch_s
-        routed = _route(inflight)
-        for name in order:
-            shards[name].deliver(routed.get(name, ()))
-        if profiler is not None:
-            epoch_busy: Dict[str, float] = {}
-            for name in order:
-                began = time.process_time()
-                shards[name].advance(horizon)
-                epoch_busy[name] = time.process_time() - began
-            profiler.record_epoch(epoch_busy)
-        else:
-            for name in order:
-                shards[name].advance(horizon)
-        inflight = []
-        for name in order:
-            inflight.extend(shards[name].drain_outbox())
-        messages += len(inflight)
-        epochs += 1
-        if fed_metrics is not None:
-            # The per-barrier snapshot ship (newest wins; cumulative).
-            for name in order:
-                fed_metrics.update(name, shards[name].registry.dump())
-        if (
-            horizon >= duration_s
-            and not inflight
-            and all(shards[name].quiet() for name in order)
-        ):
-            break
-        if epochs > guard:
-            raise RuntimeError(
-                f"federation failed to quiesce within {guard} epochs "
-                f"(horizon {horizon:.3f}s); check for self-sustaining "
-                "message loops"
-            )
-    wall = time.perf_counter() - started
-    observability = None
-    if obs is not None:
-        observability = _assemble_obs(
-            obs, profiler, fed_metrics,
-            {name: shards[name].obs_payload() for name in order},
-            epochs, messages,
-        )
-    return FederationRun(
-        digests={name: shards[name].digest() for name in order},
-        n_workers=1,
-        wall_s=wall,
-        epochs=epochs,
-        messages=messages,
-        lookahead_s=epoch_s,
-        worker_busy_s=[wall],
-        critical_path_s=wall,
-        barrier_stall_fraction=0.0,
-        observability=observability,
-    )
-
-
-def _worker_main(conn, specs, topology, seed, duration_s, obs=None) -> None:
-    """A persistent sub-kernel worker: owns its shards across epochs."""
-    shards = {
-        spec.name: ClusterShard(spec, topology, seed, obs=obs) for spec in specs
-    }
-    order = sorted(shards)
-    for name in order:
-        shards[name].start(duration_s)
-    observing = obs is not None
-    try:
-        while True:
-            command = conn.recv()
-            verb = command[0]
-            if verb == "advance":
-                _, horizon, inbound = command
-                began = time.process_time()
-                outbox: List[ShardMessage] = []
-                for name in order:
-                    shards[name].deliver(inbound.get(name, ()))
-                extra = None
-                if observing:
-                    # Per-shard CPU split for the federation profiler,
-                    # plus the per-barrier registry snapshot ship.
-                    epoch_busy: Dict[str, float] = {}
-                    for name in order:
-                        t0 = time.process_time()
-                        shards[name].advance(horizon)
-                        epoch_busy[name] = time.process_time() - t0
-                    extra = {
-                        "busy": epoch_busy,
-                        "metrics": (
-                            {
-                                name: shards[name].registry.dump()
-                                for name in order
-                            }
-                            if obs.metrics
-                            else None
-                        ),
-                    }
-                else:
-                    for name in order:
-                        shards[name].advance(horizon)
-                for name in order:
-                    outbox.extend(shards[name].drain_outbox())
-                busy = time.process_time() - began
-                quiet = all(shards[name].quiet() for name in order)
-                conn.send((outbox, busy, quiet, extra))
-            elif verb == "digest":
-                conn.send({name: shards[name].digest() for name in order})
-            elif verb == "obs":
-                conn.send({name: shards[name].obs_payload() for name in order})
-            elif verb == "stop":
-                break
-    finally:
-        conn.close()
-
-
-def _run_parallel(
-    topology: FederationTopology,
-    duration_s: float,
-    seed: int,
-    n_workers: int,
-    obs: Optional[FederationObservability] = None,
-) -> FederationRun:
-    import multiprocessing as mp
-
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    started = time.perf_counter()
-    names = sorted(spec.name for spec in topology.clusters)
-    assignment: List[List[ClusterSpec]] = [[] for _ in range(n_workers)]
-    for index, name in enumerate(names):
-        assignment[index % n_workers].append(topology.spec(name))
-    owners = {
-        spec.name: worker
-        for worker, specs in enumerate(assignment)
-        for spec in specs
-    }
-    pipes = []
-    workers = []
-    try:
-        for specs in assignment:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, specs, topology, seed, duration_s, obs),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            workers.append(process)
-
-        epoch_s = topology.lookahead_s
-        guard = _epoch_guard(duration_s, epoch_s)
-        profiler = (
-            FederationProfiler(epoch_s, owners) if obs is not None else None
-        )
-        fed_metrics = (
-            FederatedMetrics() if obs is not None and obs.metrics else None
-        )
-        horizon = 0.0
-        epochs = 0
-        messages = 0
-        inflight: List[ShardMessage] = []
-        busy_totals = [0.0] * n_workers
-        critical_path = 0.0
-        stall = 0.0
-        while True:
-            horizon += epoch_s
-            routed = _route(inflight)
-            for worker, specs in enumerate(assignment):
-                inbound = {
-                    spec.name: routed.get(spec.name, []) for spec in specs
-                }
-                pipes[worker].send(("advance", horizon, inbound))
-            inflight = []
-            busies = []
-            all_quiet = True
-            epoch_busy: Dict[str, float] = {}
-            for worker in range(n_workers):
-                outbox, busy, quiet, extra = pipes[worker].recv()
-                inflight.extend(outbox)
-                busies.append(busy)
-                busy_totals[worker] += busy
-                all_quiet = all_quiet and quiet
-                if extra is not None:
-                    epoch_busy.update(extra["busy"])
-                    if fed_metrics is not None and extra["metrics"] is not None:
-                        for name, dump in extra["metrics"].items():
-                            fed_metrics.update(name, dump)
-            slowest = max(busies)
-            critical_path += slowest
-            stall += sum(slowest - busy for busy in busies)
-            messages += len(inflight)
-            epochs += 1
-            if profiler is not None:
-                profiler.record_epoch(epoch_busy)
-            if horizon >= duration_s and not inflight and all_quiet:
-                break
-            if epochs > guard:
-                raise RuntimeError(
-                    f"federation failed to quiesce within {guard} epochs "
-                    f"(horizon {horizon:.3f}s); check for self-sustaining "
-                    "message loops"
-                )
-
-        digests: Dict[str, Dict[str, Any]] = {}
-        for worker in range(n_workers):
-            pipes[worker].send(("digest",))
-        for worker in range(n_workers):
-            digests.update(pipes[worker].recv())
-        obs_payloads: Dict[str, Dict[str, Any]] = {}
-        if obs is not None:
-            for worker in range(n_workers):
-                pipes[worker].send(("obs",))
-            for worker in range(n_workers):
-                obs_payloads.update(pipes[worker].recv())
-        for worker in range(n_workers):
-            pipes[worker].send(("stop",))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for process in workers:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-    wall = time.perf_counter() - started
-    denominator = n_workers * critical_path
-    observability = None
-    if obs is not None:
-        observability = _assemble_obs(
-            obs, profiler, fed_metrics, obs_payloads, epochs, messages
-        )
-    return FederationRun(
-        digests={name: digests[name] for name in sorted(digests)},
-        n_workers=n_workers,
-        wall_s=wall,
-        epochs=epochs,
-        messages=messages,
-        lookahead_s=topology.lookahead_s,
-        worker_busy_s=busy_totals,
-        critical_path_s=critical_path,
-        barrier_stall_fraction=stall / denominator if denominator else 0.0,
-        observability=observability,
     )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.federation import GeoBroker, nearest_first
+from repro.core.federation import nearest_first
+from repro.sim.parallel import GeoBroker
 
 LATENCY = {
     ("east", "west"): 0.03,

@@ -306,10 +306,17 @@ def test_run_profiler_epochs_match_run(fed_runs):
         profiler = observed.observability.profiler
         assert profiler.n_epochs == plain.epochs
         assert profiler.n_workers == observed.n_workers
+        # One barrier ledger: the run's figures are the profiler's.
+        assert observed.critical_path_s == profiler.critical_path_s
+        assert observed.worker_busy_s == profiler.worker_totals()
+        assert observed.barrier_stall_fraction == profiler.stall_fraction
         if n_workers == 1:
             # Serial layout: every shard on worker 0, zero stall by
             # construction.
             assert profiler.barrier_wait_s == 0.0
+            assert len(observed.worker_busy_s) == 1
+            assert observed.barrier_stall_fraction == 0.0
+            assert 0 < observed.critical_path_s <= observed.wall_s
         kernel = observed.observability.kernel_profiles
         assert set(kernel) == {"east", "north", "south", "west"}
         assert all(p["events_total"] > 0 for p in kernel.values())

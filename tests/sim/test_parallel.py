@@ -1,5 +1,8 @@
 """Tests for the parallel federated simulator (sub-kernels + epochs)."""
 
+import math
+import multiprocessing
+
 import pytest
 
 from repro.sim import Simulator
@@ -114,6 +117,26 @@ def test_topology_validation_errors():
         FederationTopology(
             clusters=clusters, edges=edges,
             geo_services=(GeoServiceSpec(name="s", home="zzz"),),
+        )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive latency"):
+            WanEdgeSpec(a="a", b="b", latency_s=bad)
+    with pytest.raises(ValueError, match="bandwidth_mbps"):
+        WanEdgeSpec(a="a", b="b", latency_s=0.05, bandwidth_mbps=math.nan)
+    with pytest.raises(ValueError, match="service_s"):
+        GeoServiceSpec(name="s", home="a", service_s=math.nan)
+    with pytest.raises(ValueError, match="request_mb"):
+        GeoServiceSpec(name="s", home="a", request_mb=math.nan)
+    with pytest.raises(ValueError, match="geo_rps"):
+        ClusterSpec(name="a", geo_rps=math.nan)
+    for bad in (math.nan, 0.0):
+        with pytest.raises(ValueError, match="host_cpu_mhz"):
+            ClusterSpec(name="a", host_cpu_mhz=bad)
+    with pytest.raises(ValueError, match="image_mb"):
+        FederationTopology(clusters=clusters, edges=edges, image_mb=math.nan)
+    with pytest.raises(ValueError, match="placed_service_s"):
+        FederationTopology(
+            clusters=clusters, edges=edges, placed_service_s=math.nan
         )
     topology = FederationTopology(clusters=clusters, edges=edges)
     assert topology.lookahead_s == 0.05
@@ -261,8 +284,12 @@ def test_worker_cap_and_validation():
     topology = build_topology(geo_rps=0.0, n_placements=0)
     capped = run_federation(topology, duration_s=0.5, seed=0, n_workers=32)
     assert capped.n_workers == len(topology.clusters)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            run_federation(topology, duration_s=bad, seed=0)
+    shard = ClusterShard(topology.spec("east"), topology, seed=0)
     with pytest.raises(ValueError, match="duration"):
-        run_federation(topology, duration_s=0.0, seed=0)
+        shard.start(math.nan)
     with pytest.raises(ValueError, match="n_workers"):
         run_federation(topology, duration_s=1.0, seed=0, n_workers=0)
 
@@ -274,3 +301,18 @@ def test_parallel_run_reports_barrier_metrics():
     assert len(run.worker_busy_s) == 2
     assert 0.0 <= run.barrier_stall_fraction < 1.0
     assert run.msgs_per_epoch > 0
+
+
+@pytest.mark.parametrize("n_workers", (1, 2))
+def test_shard_failure_surfaces_identically(monkeypatch, n_workers):
+    """A shard that raises reaches the caller as the same exception,
+    in-process or from a fork worker (which inherits the patch)."""
+
+    def advance(self, horizon):
+        raise RuntimeError(f"boom in shard {self.name}")
+
+    monkeypatch.setattr(ClusterShard, "advance", advance)
+    topology = build_topology(geo_rps=0.0, n_placements=0, background=False)
+    with pytest.raises(RuntimeError, match="boom in shard east"):
+        run_federation(topology, duration_s=0.5, seed=0, n_workers=n_workers)
+    assert multiprocessing.active_children() == []  # every worker reaped
