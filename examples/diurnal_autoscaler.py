@@ -17,7 +17,8 @@ from repro.core.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.image.profiles import make_s1_web_content
 from repro.sim.rng import RandomStreams
 from repro.workload.clients import ClientPool
-from repro.workload.replay import TraceReplay, diurnal_trace
+from repro.workload.replay import diurnal_trace
+from repro.workload.siege import Siege
 
 PERIOD_S = 600.0         # one compressed "day"
 DURATION_S = 2 * PERIOD_S
@@ -47,7 +48,7 @@ print(f"trace: {len(trace)} requests over {DURATION_S:.0f} s "
       f"(rate swings 2..16 req/s across each {PERIOD_S:.0f} s 'day')")
 
 clients = ClientPool(testbed.lan, n=4)
-replay = TraceReplay(testbed.sim, record.switch, clients, trace)
+siege = Siege(testbed.sim, record.switch, clients)
 
 # -- the controller ---------------------------------------------------------------
 autoscaler = ReactiveAutoscaler(
@@ -58,7 +59,7 @@ autoscaler = ReactiveAutoscaler(
     ),
 )
 
-replay_proc = testbed.spawn(replay.run(), name="diurnal-replay")
+replay_proc = testbed.spawn(siege.run_trace(trace), name="diurnal-replay")
 testbed.run(autoscaler.run(DURATION_S))
 report = testbed.sim.run_until_process(replay_proc)
 

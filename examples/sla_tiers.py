@@ -29,7 +29,8 @@ from repro.sla import (
     compliance_summary,
 )
 from repro.workload.clients import ClientPool
-from repro.workload.replay import TraceReplay, poisson_trace
+from repro.workload.replay import poisson_trace
+from repro.workload.siege import Siege
 
 SPIKE_RPS = 30.0        # ~3x one machine instance's capacity
 SPIKE_DURATION_S = 45.0
@@ -82,7 +83,7 @@ for name in contracts:
         dataset_mb=DATASET_MB,
     )
     testbed.spawn(
-        TraceReplay(testbed.sim, records[name].switch, clients, trace).run(),
+        Siege(testbed.sim, records[name].switch, clients).run_trace(trace),
         name=f"replay:{name}",
     )
 testbed.sim.run()

@@ -216,12 +216,10 @@ bench_fleet_scale_throughput.composite = True
 
 
 def bench_switch_dispatch_throughput() -> Dict[str, float]:
-    """Bursty arrivals through one switch, batched vs unbatched dispatch.
+    """Bursty arrivals through one switch on the plain serving path.
 
-    15 waves of 40 concurrent requests against a 3-node service; the
-    batched arm coalesces each wave into shared dispatcher/classify/
-    forward work.  Event counts are deterministic, wall clocks are the
-    measured win.
+    15 waves of 40 concurrent requests against a 3-node service.  The
+    kernel event count is deterministic; the wall clock is the measure.
     """
     from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
     from repro.core.auth import Credentials
@@ -229,52 +227,34 @@ def bench_switch_dispatch_throughput() -> Dict[str, float]:
     from repro.guestos.syscall import SyscallMix
     from repro.image.profiles import make_s1_web_content
 
-    def run(batched: bool):
-        testbed = build_paper_testbed(seed=0)
-        repo = testbed.add_repository()
-        repo.publish(make_s1_web_content())
-        testbed.agent.register_asp("acme", "supersecret")
-        creds = Credentials("acme", "supersecret")
-        requirement = ResourceRequirement(n=3, machine=MachineConfig())
-        testbed.run(
-            testbed.agent.service_creation(creds, "web", repo, "web-content", requirement)
-        )
-        record = testbed.master.get_service("web")
-        if batched:
-            record.switch.enable_batching(window_s=0.002, max_batch=64)
-        client = testbed.add_client("client-1")
-        mix = SyscallMix(user_mcycles=1.2, n_syscalls=33)
+    testbed = build_paper_testbed(seed=0)
+    repo = testbed.add_repository()
+    repo.publish(make_s1_web_content())
+    testbed.agent.register_asp("acme", "supersecret")
+    creds = Credentials("acme", "supersecret")
+    requirement = ResourceRequirement(n=3, machine=MachineConfig())
+    testbed.run(
+        testbed.agent.service_creation(creds, "web", repo, "web-content", requirement)
+    )
+    record = testbed.master.get_service("web")
+    client = testbed.add_client("client-1")
+    mix = SyscallMix(user_mcycles=1.2, n_syscalls=33)
 
-        def waves(sim):
-            for _ in range(15):
-                procs = [
-                    sim.process(
-                        record.switch.serve(
-                            Request(client=client, response_mb=0.1, mix=mix)
-                        )
-                    )
-                    for _ in range(40)
-                ]
-                for p in procs:
-                    yield p
+    def waves(sim):
+        for _ in range(15):
+            procs = [
+                sim.process(
+                    record.switch.serve(Request(client=client, response_mb=0.1, mix=mix))
+                )
+                for _ in range(40)
+            ]
+            for p in procs:
+                yield p
 
-        before = testbed.sim.events_scheduled
-        start = time.perf_counter()
-        testbed.run(waves(testbed.sim))
-        wall = time.perf_counter() - start
-        assert record.switch.dispatched == 600
-        return testbed.sim.events_scheduled - before, wall, record.switch
-
-    unbatched_events, unbatched_wall, _ = run(batched=False)
-    batched_events, batched_wall, switch = run(batched=True)
-    assert batched_events < unbatched_events
-    return {
-        "unbatched_events": unbatched_events,
-        "batched_events": batched_events,
-        "batches_dispatched": switch.batches_dispatched,
-        "event_reduction_x": round(unbatched_events / batched_events, 2),
-        "wall_speedup_x": round(unbatched_wall / batched_wall, 2),
-    }
+    before = testbed.sim.events_scheduled
+    testbed.run(waves(testbed.sim))
+    assert record.switch.dispatched == 600
+    return {"events": testbed.sim.events_scheduled - before}
 
 
 bench_switch_dispatch_throughput.composite = True

@@ -27,17 +27,6 @@ first — see :mod:`repro.sla.enforcement`), and outcome listeners (e.g.
 an :class:`~repro.sla.monitor.SLOMonitor`) receive every per-request
 outcome — ``(time, latency, "ok" | "failed" | "shed")`` — as it happens.
 
-Dispatch batching (extension): :meth:`ServiceSwitch.enable_batching`
-turns on adaptive dispatch coalescing — same-class requests arriving
-within a small window share *one* dispatcher slot, one classify CPU
-slice, and one combined forward transfer per chosen back-end, so a
-burst of n requests costs O(groups) scheduling/LAN events instead of
-O(n).  Per-request accounting is untouched: every request keeps its own
-ingress flow, response-time sample, outcome notification, and span
-chain (the dispatch span simply widens to cover the wait for the
-batch).  Off by default — the serving path and its digests are
-bit-identical until a caller opts in.
-
 Failover hooks (extension): with a :attr:`ServiceSwitch.retry_policy`
 (capped exponential backoff, see :class:`repro.faults.retry.BackoffPolicy`
 — duck-typed: anything with ``max_attempts`` and ``delay(attempt)``)
@@ -54,6 +43,7 @@ which case the serving path is exactly the pre-failover one.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
 
 from repro.core.config import ServiceConfigFile
@@ -78,20 +68,6 @@ __all__ = ["ServiceSwitch"]
 # CPU work to accept, parse and dispatch one request at the switch,
 # megacycles (a user-space L7 dispatcher).
 SWITCH_CPU_MCYCLES = 0.6
-
-
-class _DispatchBatch:
-    """One open coalescing window of same-class requests."""
-
-    __slots__ = ("key", "members", "full", "closed")
-
-    def __init__(self, sim: Simulator, key: str):
-        self.key = key
-        # (request, joined-event) pairs; each event fires with
-        # ``(backend, exc)`` once the batch's shared work is done.
-        self.members: List[tuple] = []
-        self.full: Event = Event(sim)
-        self.closed = False
 
 
 class _SwitchMetrics:
@@ -226,20 +202,14 @@ class ServiceSwitch:
         self.shedder: Optional[Any] = None
         self._outcome_listeners: List[Callable[[float, Optional[float], str], None]] = []
         # Failover hooks (off by default — the plain serving path runs
-        # unchanged unless one of these is installed).  Both are
-        # properties: their setters reject configuration while dispatch
-        # batching is enabled (and enable_batching rejects the reverse),
-        # so the documented incompatibility is enforced both ways at
-        # configuration time.
-        self._retry_policy: Optional[Any] = None
+        # unchanged unless one of these is installed).
+        self.retry_policy: Optional[Any] = None
         self._request_timeout_s: Optional[float] = None
         self.quarantined: Set[str] = set()
         self.failovers = 0
         self.timeouts = 0
-        # Dispatch batching (off by default): (window_s, max_batch) when
-        # enabled, plus the open batch per request class.
-        self._batching: Optional[tuple] = None
-        self._open_batches: Dict[str, _DispatchBatch] = {}
+        # Always 0 (the switch no longer batches); kept because the
+        # perfbench traced counters still read it.
         self.batches_dispatched = 0
         # Market hook (extension): the owning tenant/ASP, set by the
         # SODA Master so per-request metrics and spans carry a tenant
@@ -276,56 +246,18 @@ class ServiceSwitch:
         for listener in self._outcome_listeners:
             listener(self.sim.now, latency_s, outcome)
 
-    # -- failover configuration (mutually exclusive with batching) -----------
-    @property
-    def retry_policy(self) -> Optional[Any]:
-        return self._retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, policy: Optional[Any]) -> None:
-        if policy is not None and getattr(self, "_batching", None) is not None:
-            raise ValueError(
-                "the failover engine is incompatible with dispatch batching "
-                "(disable_batching() first)"
-            )
-        self._retry_policy = policy
-
+    # -- failover configuration ----------------------------------------------
     @property
     def request_timeout_s(self) -> Optional[float]:
         return self._request_timeout_s
 
     @request_timeout_s.setter
     def request_timeout_s(self, timeout_s: Optional[float]) -> None:
-        if timeout_s is not None and getattr(self, "_batching", None) is not None:
+        if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
             raise ValueError(
-                "the failover engine is incompatible with dispatch batching "
-                "(disable_batching() first)"
+                f"request timeout must be positive and finite, got {timeout_s}"
             )
         self._request_timeout_s = timeout_s
-
-    # -- dispatch batching (extension) ----------------------------------------
-    def enable_batching(self, window_s: float = 0.001, max_batch: int = 32) -> None:
-        """Coalesce same-class requests into shared dispatch batches.
-
-        A request arriving while a batch for its class is open joins it;
-        the batch dispatches when ``window_s`` elapses after it opened or
-        when it reaches ``max_batch`` members, whichever comes first.
-        Incompatible with the failover engine (an attempt retried on a
-        new replica cannot share another request's forward transfer).
-        """
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if self.retry_policy is not None or self.request_timeout_s is not None:
-            raise ValueError(
-                "dispatch batching is incompatible with the failover engine"
-            )
-        self._batching = (window_s, max_batch)
-
-    def disable_batching(self) -> None:
-        """Stop opening new batches (open ones drain normally)."""
-        self._batching = None
 
     # -- policy management (the ASP-facing hook, §3.4) -----------------------
     def set_policy(self, policy: SwitchingPolicy) -> None:
@@ -422,17 +354,16 @@ class ServiceSwitch:
             raise ServiceUnavailableError(f"switch of {self.service_name!r} is gone")
         started = self.sim.now
         # Observability: open the dispatch segment (and, for requests
-        # arriving without a workload-created root span, the root too).
-        # Spans only read the clock — the timing model is untouched.
+        # arriving without a workload-created root span, the root too —
+        # ``owned``, which this switch must then close).  Spans only
+        # read the clock — the timing model is untouched.
         tracer = tracer_of(self.sim)
         lane = f"switch:{self.service_name}"
-        root = dispatch = None
-        owns_root = False
+        root = dispatch = owned = None
         if tracer is not None:
             root = request.trace
             if root is None:
-                owns_root = True
-                root = tracer.start_span(
+                root = owned = tracer.start_span(
                     "request", lane=lane, start=started, service=self.service_name
                 )
                 request = request.with_trace(root)
@@ -449,27 +380,16 @@ class ServiceSwitch:
         # saturates, before the request consumes a dispatcher slot.
         if self.shedder is not None and self.shedder.should_shed(self):
             self.shedded += 1
-            self._notify(None, "shed")
-            self._obs_outcome("shed")
-            self._finish_spans(dispatch, root if owns_root else None, "shed")
+            self._refused("shed", dispatch, owned)
             raise RequestSheddedError(
                 f"service {self.service_name!r} shed a request under load"
             )
         # Failover path (extension): with a retry policy or a timeout
         # budget installed, dispatch attempts run — and re-run — through
-        # the failover engine.  Neither installed: the plain path below
-        # is untouched, keeping fault-free digests bit-identical.
-        if self.retry_policy is not None or self.request_timeout_s is not None:
+        # the failover engine.  Neither installed: the plain path below.
+        if self.retry_policy is not None or self._request_timeout_s is not None:
             response = yield from self._serve_with_failover(
-                request, started, lane, root, dispatch, owns_root
-            )
-            return response
-        # Batching path (extension): join/open a coalescing batch; the
-        # batch pays the dispatcher slot, classify CPU, and forward
-        # transfers once on behalf of all its members.
-        if self._batching is not None:
-            response = yield from self._serve_batched(
-                request, started, root, dispatch, owns_root
+                request, started, lane, root, dispatch, owned
             )
             return response
         # 2. Switch processing (serialised).
@@ -482,161 +402,67 @@ class ServiceSwitch:
             try:
                 backend = self.select(request)
             except ServiceUnavailableError:
-                self._notify(None, "failed")
-                self._obs_outcome("failed")
-                self._finish_spans(dispatch, root if owns_root else None, "failed")
+                self._refused("failed", dispatch, owned)
                 raise
         finally:
             self._dispatcher.release(slot)
         # 3. Forward to the back-end (loopback when co-located).
-        forward = self.lan.transfer(
-            self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:fwd",
-        )
-        yield forward.done
-        # 4. Back-end serves; response returns directly to the client.
-        self.dispatched += 1
-        self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.dispatched(backend.name)
+        yield from self._forward(backend)
         if dispatch is not None:
             # The back-end process bootstraps at this same instant, so
             # closing the dispatch segment here makes it contiguous with
             # the node's queue_wait segment.
             dispatch.finish(self.sim.now).annotate(node=backend.name)
+        # 4. Back-end serves; response returns directly to the client.
         try:
             response = yield self.sim.process(
                 backend.serve(request), name=f"serve:{backend.name}"
             )
         except SODAError:
             self.rejected += 1
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(None, root if owns_root else None, "failed")
+            self._refused("failed", dispatch, owned)
             raise
-        elapsed = self.sim.now - started
-        self.response_times.record(self.sim.now, elapsed)
-        self._notify(elapsed, "ok")
-        self._obs_outcome("ok", elapsed)
-        if owns_root:
-            root.finish(self.sim.now).annotate(node=response.node_name)
+        self._served(started, response, owned)
         return response
 
-    # -- dispatch batching engine (extension) ---------------------------------
-    def _serve_batched(
-        self, request: Request, started: float, root, dispatch, owns_root: bool
-    ) -> Generator[Event, Any, NodeResponse]:
-        """Member side of the batched serving path.
-
-        Runs after the request's own ingress and shed check.  The member
-        joins (or opens) its class's batch, waits for the batch's shared
-        dispatch work, then serves and accounts exactly like the plain
-        path: its own back-end process, response-time sample, outcome
-        notification, and spans — the dispatch span closes at the same
-        instant the back-end process starts, so span tiling per request
-        is preserved.
-        """
-        window_s, max_batch = self._batching
-        key = request.component
-        batch = self._open_batches.get(key)
-        if batch is None or batch.closed or len(batch.members) >= max_batch:
-            batch = _DispatchBatch(self.sim, key)
-            self._open_batches[key] = batch
-            self.sim.process(
-                self._run_batch(batch, window_s),
-                name=f"batch:{self.service_name}:{key or '-'}",
-            )
-        joined = Event(self.sim)
-        batch.members.append((request, joined))
-        if len(batch.members) >= max_batch and not batch.full.triggered:
-            batch.full.succeed()
-        backend, exc = yield joined
-        if exc is not None:
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(dispatch, root if owns_root else None, "failed")
-            raise exc
-        # Shared work done (forward transfer included); from here the
-        # member path is the plain path's per-request tail.
+    def _forward(self, backend: VirtualServiceNode) -> Generator[Event, Any, None]:
+        """Forward a request to ``backend`` over the LAN and count it."""
+        forward = self.lan.transfer(
+            self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
+            label=f"switch:{self.service_name}:fwd",
+        )
+        yield forward.done
         self.dispatched += 1
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
         cache = self._obs_metrics()
         if cache is not None:
             cache.dispatched(backend.name)
-        if dispatch is not None:
-            dispatch.finish(self.sim.now).annotate(node=backend.name)
-        try:
-            response = yield self.sim.process(
-                backend.serve(request), name=f"serve:{backend.name}"
-            )
-        except SODAError:
-            self.rejected += 1
-            self._notify(None, "failed")
-            self._obs_outcome("failed")
-            self._finish_spans(None, root if owns_root else None, "failed")
-            raise
-        elapsed = self.sim.now - started
-        self.response_times.record(self.sim.now, elapsed)
+
+    def _served(self, started: float, response: NodeResponse, root) -> None:
+        """Account a served request: listeners, metrics, then its root span."""
+        now = self.sim.now
+        elapsed = now - started
+        self.response_times.record(now, elapsed)
         self._notify(elapsed, "ok")
         self._obs_outcome("ok", elapsed)
-        if owns_root:
-            root.finish(self.sim.now).annotate(node=response.node_name)
-        return response
+        if root is not None:
+            root.finish(now).annotate(node=response.node_name)
 
-    def _run_batch(
-        self, batch: _DispatchBatch, window_s: float
-    ) -> Generator[Event, Any, None]:
-        """Batch side: one slot, one classify slice, one flow per group.
-
-        Spawned when the batch opens; closes it after ``window_s`` or
-        when it fills, then performs the coalesced dispatch work and
-        fires every member's event — success carries the chosen
-        back-end once that back-end's combined forward transfer lands.
-        """
-        guard = self.sim.timeout(window_s)
-        if not batch.full.triggered:
-            yield self.sim.any_of([guard, batch.full])
-        batch.closed = True
-        if self._open_batches.get(batch.key) is batch:
-            del self._open_batches[batch.key]
-        # One dispatcher slot and one classify slice for the whole batch
-        # — this is the coalescing win on the switch's CPU.
-        groups: Dict[VirtualServiceNode, List[Event]] = {}
-        slot = self._dispatcher.request()
-        try:
-            yield slot
-            yield self.sim.timeout(
-                SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
-            )
-            for req, joined in batch.members:
-                try:
-                    backend = self.select(req)
-                except ServiceUnavailableError as exc:
-                    joined.succeed((None, exc))
-                    continue
-                groups.setdefault(backend, []).append(joined)
-        finally:
-            self._dispatcher.release(slot)
-        self.batches_dispatched += 1
-        # One combined forward transfer per chosen back-end; members
-        # resume the instant their group's last byte lands.
-        for backend, events in groups.items():
-            flow = self.lan.transfer(
-                self.home_node.host.nic, backend.host.nic,
-                len(events) * REQUEST_SIZE_MB,
-                label=f"switch:{self.service_name}:fwd",
-            )
-            flow.done.callbacks.append(
-                lambda _ev, b=backend, evs=events: [
-                    joined.succeed((b, None)) for joined in evs
-                ]
-            )
+    def _refused(self, outcome: str, dispatch, root) -> None:
+        """Account a shed or failed request: listeners, metrics, then
+        whichever of its spans are still open (None skips a span)."""
+        self._notify(None, outcome)
+        self._obs_outcome(outcome)
+        now = self.sim.now
+        if dispatch is not None and not dispatch.finished:
+            dispatch.finish(now, outcome)
+        if root is not None and not root.finished:
+            root.finish(now, outcome)
 
     # -- failover engine (extension) -----------------------------------------
     def _serve_with_failover(
         self, request: Request, started: float, lane: str,
-        root, dispatch, owns_root: bool,
+        root, dispatch, owned,
     ) -> Generator[Event, Any, NodeResponse]:
         """Serving tail with retry, failover, and a timeout budget.
 
@@ -653,8 +479,8 @@ class ServiceSwitch:
         policy = self.retry_policy
         max_attempts = policy.max_attempts if policy is not None else 1
         deadline = (
-            None if self.request_timeout_s is None
-            else started + self.request_timeout_s
+            None if self._request_timeout_s is None
+            else started + self._request_timeout_s
         )
         tracer = tracer_of(self.sim)
         cache = self._obs_metrics()
@@ -721,12 +547,7 @@ class ServiceSwitch:
                 if exc is None:
                     if span is not None:
                         span.finish(self.sim.now)
-                    elapsed = self.sim.now - started
-                    self.response_times.record(self.sim.now, elapsed)
-                    self._notify(elapsed, "ok")
-                    self._obs_outcome("ok", elapsed)
-                    if owns_root:
-                        root.finish(self.sim.now).annotate(node=response.node_name)
+                    self._served(started, response, owned)
                     return response
                 failure = exc
                 tried.add(backend.name)
@@ -754,9 +575,7 @@ class ServiceSwitch:
             )
         if any_dispatched:
             self.rejected += 1
-        self._notify(None, "failed")
-        self._obs_outcome("failed")
-        self._finish_spans(dispatch, root if owns_root else None, "failed")
+        self._refused("failed", dispatch, owned)
         raise failure
 
     def _timeout_failure(self, cache) -> RequestTimeoutError:
@@ -777,17 +596,7 @@ class ServiceSwitch:
         abandoned (timed-out) attempt from failing a process nobody is
         left awaiting.
         """
-        # Forward to the back-end (loopback when co-located).
-        forward = self.lan.transfer(
-            self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:fwd",
-        )
-        yield forward.done
-        self.dispatched += 1
-        self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.dispatched(backend.name)
+        yield from self._forward(backend)
         try:
             response = yield self.sim.process(
                 backend.serve(request), name=f"serve:{backend.name}"
@@ -795,11 +604,3 @@ class ServiceSwitch:
         except SODAError as exc:
             return None, exc
         return response, None
-
-    def _finish_spans(self, dispatch, root, status: str) -> None:
-        """Close still-open spans on an error path (no-op for None)."""
-        now = self.sim.now
-        if dispatch is not None and not dispatch.finished:
-            dispatch.finish(now, status)
-        if root is not None and not root.finished:
-            root.finish(now, status)

@@ -15,12 +15,12 @@ plain dict of exact numbers the determinism guard compares ``==``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import HUPTestbed, MachineConfig, PlacementStrategy, ResourceRequirement
 from repro.core.auth import Credentials
-from repro.core.errors import RequestSheddedError, RequestTimeoutError, SODAError
 from repro.core.recovery import NodeWatchdog
 from repro.faults.health import SwitchHealthChecker
 from repro.faults.injector import FaultInjector
@@ -32,8 +32,9 @@ from repro.sla import SLAContract
 from repro.sla.enforcement import ClassPriorityShedder
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
+from repro.workload.ledger import ClassStats, RequestLedger
 
-__all__ = ["ClassStats", "ChaosReport", "run_chaos_scenario"]
+__all__ = ["ChaosReport", "run_chaos_scenario"]
 
 CLASSES = ("gold", "silver", "bronze")
 
@@ -41,26 +42,6 @@ CLASSES = ("gold", "silver", "bronze")
 # last campaign fault is detected, rebooted and un-quarantined before
 # the simulation drains.
 TAIL_S = 15.0
-
-
-@dataclass
-class ClassStats:
-    """Request accounting for one service class."""
-
-    issued: int = 0
-    served: int = 0
-    failed: int = 0
-    shed: int = 0
-    timeouts: int = 0  # sub-count of failed
-
-    @property
-    def accounted(self) -> int:
-        return self.served + self.failed + self.shed
-
-    @property
-    def availability(self) -> float:
-        """Fraction of issued requests that were served."""
-        return self.served / self.issued if self.issued else 1.0
 
 
 @dataclass
@@ -169,6 +150,14 @@ def run_chaos_scenario(
     campaign; ``with_faults=False`` runs the identical deployment and
     load with no faults at all (the ablation baseline).
     """
+    for name, value in (
+        ("duration_s", duration_s), ("rate_rps", rate_rps),
+        ("window_s", window_s), ("request_timeout_s", request_timeout_s),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (math.isfinite(dataset_mb) and dataset_mb >= 0):
+        raise ValueError(f"dataset_mb must be finite and >= 0, got {dataset_mb}")
     tb = HUPTestbed(seed=seed, strategy=PlacementStrategy.WORST_FIT)
     for i in range(3):
         tb.add_host(
@@ -230,28 +219,13 @@ def run_chaos_scenario(
 
     clients = ClientPool(tb.lan, n=6)
     load = tb.streams.spawn("chaos-load")
-    start = tb.now
-    stats = {name: ClassStats() for name in contracts}
-    outcomes: List[Tuple[float, str, str]] = []
+    ledger = RequestLedger(tb.sim, contracts)
+    start = ledger.start
+    stats = ledger.stats
 
     def one_request(name, switch):
         request = web_request(clients.next_client(), dataset_mb, label=name)
-        s = stats[name]
-        try:
-            yield from switch.serve(request)
-        except RequestSheddedError:
-            s.shed += 1
-            outcomes.append((tb.now - start, name, "shed"))
-        except RequestTimeoutError:
-            s.failed += 1
-            s.timeouts += 1
-            outcomes.append((tb.now - start, name, "failed"))
-        except SODAError:
-            s.failed += 1
-            outcomes.append((tb.now - start, name, "failed"))
-        else:
-            s.served += 1
-            outcomes.append((tb.now - start, name, "ok"))
+        yield from ledger.serve(name, switch, request)
 
     def drive(name, switch):
         deadline = start + duration_s
@@ -270,12 +244,12 @@ def run_chaos_scenario(
 
     # Post-campaign probe: every tier must serve again after the last
     # watchdog reboot (part of the scenario, hence of the digest).
-    post_before = len(outcomes)
+    post_before = len(ledger.outcomes)
     for name in contracts:
         stats[name].issued += 1
         tb.run(one_request(name, records[name].switch), name=f"post:{name}")
     post_ok = sum(
-        1 for _t, _n, outcome in outcomes[post_before:] if outcome == "ok"
+        1 for _t, _n, outcome in ledger.outcomes[post_before:] if outcome == "ok"
     )
 
     report = ChaosReport(
@@ -283,7 +257,7 @@ def run_chaos_scenario(
         duration_s=duration_s,
         window_s=window_s,
         stats=stats,
-        outcomes=tuple(outcomes),
+        outcomes=tuple(ledger.outcomes),
         fault_log=tuple(injector.log),
         reboots={
             name: tuple(

@@ -13,6 +13,7 @@ de-synchronises retries naturally through queueing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["BackoffPolicy"]
@@ -33,13 +34,15 @@ class BackoffPolicy:
     max_attempts: int = 4
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0:
-            raise ValueError(f"base delay must be positive, got {self.base_s}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1 (monotone), got {self.factor}")
-        if self.cap_s < self.base_s:
+        # isfinite first: NaN passes every comparison below (min(cap, nan)
+        # is cap) and inf would back off forever.
+        if not (math.isfinite(self.base_s) and self.base_s > 0):
+            raise ValueError(f"base delay must be positive and finite, got {self.base_s}")
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
+            raise ValueError(f"factor must be finite and >= 1 (monotone), got {self.factor}")
+        if not (math.isfinite(self.cap_s) and self.cap_s >= self.base_s):
             raise ValueError(
-                f"cap {self.cap_s} must be >= base delay {self.base_s}"
+                f"cap {self.cap_s} must be finite and >= base delay {self.base_s}"
             )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")

@@ -34,12 +34,10 @@ fleet attached or not — the hybrid-fidelity contract, re-checked by a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
 from repro.core.auth import Credentials
-from repro.core.errors import RequestSheddedError, SODAError
-from repro.faults.chaos import ClassStats
 from repro.image.profiles import paper_profiles
 from repro.market.pricing import PricingParams, SpotPricer
 from repro.scenario.compile import CompiledScenario, compile_scenario
@@ -49,6 +47,7 @@ from repro.sla import SLAContract
 from repro.sla.enforcement import ClassPriorityShedder
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
+from repro.workload.ledger import ClassStats, RequestLedger
 
 __all__ = ["POLICIES", "ScenarioReport", "run_scenario"]
 
@@ -185,51 +184,32 @@ def run_scenario(
         )
         fleet.start(spec.duration_s)
 
+    ledger = RequestLedger(tb.sim, [load.tenant for load in spec.loads])
     report = ScenarioReport(
         scenario=spec.name,
         seed=seed,
         policy=policy,
         compiled_sha=compiled.digest_sha(),
-        stats={load.tenant: ClassStats() for load in spec.loads},
+        stats=ledger.stats,
         background_hosts=background_hosts,
     )
-    outcomes: List[Tuple[float, str, str]] = []
-    response_s: Dict[str, List[float]] = {
-        load.tenant: [0.0, 0.0] for load in spec.loads
-    }
-    start = tb.now
+    start = ledger.start
 
     def one_request(tenant: str, size_mb: float) -> Generator[Event, Any, None]:
-        stats = report.stats[tenant]
         if pricer is not None and bids[tenant] < pricer.rate:
             report.priced_out += 1
-            stats.shed += 1
-            outcomes.append((tb.now - start, tenant, "shed"))
+            ledger.stats[tenant].shed += 1
+            ledger.record(tenant, "shed")
             return
-        issued_at = tb.now
         request = web_request(clients.next_client(), size_mb, label=tenant)
-        try:
-            yield from switches[tenant].serve(request)
-        except RequestSheddedError:
-            stats.shed += 1
-            outcomes.append((tb.now - start, tenant, "shed"))
-        except SODAError:
-            stats.failed += 1
-            outcomes.append((tb.now - start, tenant, "failed"))
-        else:
-            stats.served += 1
-            elapsed = tb.now - issued_at
-            totals = response_s[tenant]
-            totals[0] += elapsed
-            totals[1] = max(totals[1], elapsed)
-            outcomes.append((tb.now - start, tenant, "ok"))
+        yield from ledger.serve(tenant, switches[tenant], request)
 
     def drive(tenant: str) -> Generator[Event, Any, None]:
         for offset, size_mb in compiled.trace_of(tenant).arrivals:
             gap = start + offset - tb.now
             if gap > 0:
                 yield tb.sim.timeout(gap)
-            report.stats[tenant].issued += 1
+            ledger.stats[tenant].issued += 1
             tb.spawn(one_request(tenant, size_mb), name=f"req:{tenant}")
 
     for load in spec.loads:
@@ -237,14 +217,14 @@ def run_scenario(
 
     tb.sim.run()  # drain: drivers, requests, the pricer, the fleet
 
-    report.outcomes = tuple(outcomes)
+    report.outcomes = tuple(ledger.outcomes)
     report.response_s = {
-        tenant: (totals[0], totals[1]) for tenant, totals in response_s.items()
+        tenant: (totals[0], totals[1]) for tenant, totals in ledger.response_s.items()
     }
     if pricer is not None:
         report.price_history = tuple(pricer.history)
     # Focus clock, not drain clock: a background fleet (or the pricer)
     # may outlive the last focus request, and the hybrid-fidelity
     # contract promises the *focus* digest is fleet-independent.
-    report.finished_at = max((t for t, _tenant, _o in outcomes), default=0.0)
+    report.finished_at = max((t for t, _tenant, _o in ledger.outcomes), default=0.0)
     return report

@@ -354,8 +354,9 @@ class Process(Event):
             self._resume_cb = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            unawaited = not self.callbacks
             self.fail(exc)
-            if not sim._catch_process_failures:
+            if unawaited:
                 raise
             return
         sim._active_process = None
@@ -400,8 +401,9 @@ class Process(Event):
             self._resume_cb = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            unawaited = not self.callbacks
             self.fail(exc)
-            if not sim._catch_process_failures:
+            if unawaited:
                 raise
             return
         sim._active_process = None
@@ -443,20 +445,17 @@ class Simulator:
     * ``(time, priority, seq, None, process, ok, value, exception)`` — a
       direct resume of ``process`` with the given outcome.
 
-    Parameters
-    ----------
-    catch_process_failures:
-        When True (default), an exception escaping a process generator
-        fails the Process event (observable by waiters) rather than
-        aborting the whole run.  Set False in tests to surface bugs.
+    An exception escaping a process generator fails the Process event,
+    and every process (or condition) waiting on it receives it.  A
+    failure that nobody is waiting on is re-raised out of :meth:`run`,
+    :meth:`run_until_process` or :meth:`step`, so it is never dropped.
     """
 
-    def __init__(self, catch_process_failures: bool = True):
+    def __init__(self):
         self._now: float = 0.0
         self._heap: List[tuple] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._catch_process_failures = catch_process_failures
         # Opt-in kernel profiler (duck-typed; see repro.obs.profiler).
         # When None — the default — run()/run_until_process() take the
         # allocation-free branch of their dispatch loops.

@@ -4,12 +4,17 @@
   web content service's dataset-dependent syscall mix, honeypot probe
   requests, and the comp/log background jobs of Figure 5).
 * :mod:`repro.workload.siege` — the HTTP request generator standing in
-  for the paper's *siege* tool (§5): open-loop Poisson and closed-loop
-  worker modes, with response-time monitors.
+  for the paper's *siege* tool (§5): open-loop Poisson, closed-loop
+  worker and recorded-trace modes, with response-time monitors.
+* :mod:`repro.workload.replay` — arrival traces (recorded, Poisson,
+  diurnal, thinned) for :meth:`Siege.run_trace
+  <repro.workload.siege.Siege.run_trace>`.
 * :mod:`repro.workload.attack` — the ghttpd buffer-overflow attack
   campaign against the honeypot (§2.1, §5 'Attack isolation').
 * :mod:`repro.workload.clients` — client machine populations on the
   LAN.
+* :mod:`repro.workload.ledger` — per-tenant request accounting shared
+  by the scenario and chaos harnesses.
 """
 
 from repro.workload.apps import (

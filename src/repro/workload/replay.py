@@ -1,30 +1,25 @@
-"""Arrival-trace replay.
+"""Arrival traces.
 
-Siege drives synthetic open/closed loops; real hosting platforms are
-evaluated against recorded request traces.  :class:`TraceReplay` fires
-requests at exact recorded instants, and the builders create synthetic
-traces — homogeneous Poisson, and a diurnal (sinusoidally-modulated)
-process via Lewis-Shedler thinning — so experiments can exercise the
-time-varying load a long-lived application service (§1) actually sees.
+Real hosting platforms are evaluated against recorded request traces.
+An :class:`ArrivalTrace` holds one; :meth:`Siege.run_trace
+<repro.workload.siege.Siege.run_trace>` fires its requests at the exact
+recorded instants, next to Siege's open and closed loops.  The builders
+create synthetic traces — homogeneous Poisson, and a diurnal
+(sinusoidally-modulated) process via Lewis-Shedler thinning — so
+experiments can exercise the time-varying load a long-lived application
+service (§1) actually sees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Tuple
+from typing import Callable, List, Tuple
 
-from repro.core.errors import SODAError
-from repro.core.switch import ServiceSwitch
-from repro.sim.kernel import Event, Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.apps import web_request
-from repro.workload.clients import ClientPool
-from repro.workload.siege import SiegeReport
 
 __all__ = [
     "ArrivalTrace",
-    "TraceReplay",
     "poisson_trace",
     "diurnal_trace",
     "thinned_trace",
@@ -156,49 +151,3 @@ def diurnal_trace(
         gap_stream="trace-diurnal",
         thin_stream="trace-thin",
     )
-
-
-class TraceReplay:
-    """Fires a trace's requests against a service switch."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        switch: ServiceSwitch,
-        clients: ClientPool,
-        trace: ArrivalTrace,
-    ):
-        self.sim = sim
-        self.switch = switch
-        self.clients = clients
-        self.trace = trace
-
-    def run(self) -> Generator[Event, Any, SiegeReport]:
-        """Replay the whole trace; returns a :class:`SiegeReport`."""
-        report = SiegeReport(dataset_mb=-1.0, started_at=self.sim.now)
-        origin = self.sim.now
-        in_flight = []
-
-        def one(sim: Simulator, size_mb: float) -> Generator[Event, Any, None]:
-            client = self.clients.next_client()
-            started = sim.now
-            try:
-                response = yield sim.process(
-                    self.switch.serve(web_request(client, size_mb))
-                )
-            except SODAError:
-                report.failures += 1
-                return
-            elapsed = sim.now - started
-            report.overall.record(sim.now, elapsed)
-            report.node_monitor(response.node_name).record(sim.now, elapsed)
-
-        for offset, size_mb in self.trace.arrivals:
-            gap = origin + offset - self.sim.now
-            if gap > 0:
-                yield self.sim.timeout(gap)
-            in_flight.append(self.sim.process(one(self.sim, size_mb)))
-        for proc in in_flight:
-            yield proc
-        report.finished_at = self.sim.now
-        return report

@@ -1,7 +1,7 @@
 """A siege-like HTTP load generator.
 
 "The requests are generated by machines in the same LAN using *siege*,
-an HTTP request generation program" (§5).  Two modes:
+an HTTP request generation program" (§5).  Three modes:
 
 * **open loop** — Poisson arrivals at a target rate; each arrival is an
   independent client exchange.  Used for Figure 4, where "we reduce the
@@ -9,6 +9,8 @@ an HTTP request generation program" (§5).  Two modes:
 * **closed loop** — a fixed population of workers, each issuing the
   next request after a think time.  Used for controlled single-stream
   measurements (Figure 6).
+* **recorded trace** — requests fired at the exact instants (and with
+  the dataset sizes) of an :class:`~repro.workload.replay.ArrivalTrace`.
 
 Every completed request records its response time, tagged by the node
 that served it, into a :class:`SiegeReport`.
@@ -16,6 +18,7 @@ that served it, into a :class:`SiegeReport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional
 
@@ -27,6 +30,7 @@ from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
+from repro.workload.replay import ArrivalTrace
 
 __all__ = ["SiegeReport", "Siege"]
 
@@ -80,17 +84,19 @@ class Siege:
         streams: Optional[RandomStreams] = None,
         dataset_mb: float = 1.0,
     ):
-        if dataset_mb < 0:
-            raise ValueError(f"negative dataset size: {dataset_mb}")
+        if not (math.isfinite(dataset_mb) and dataset_mb >= 0):
+            raise ValueError(f"dataset size must be finite and >= 0, got {dataset_mb}")
         self.sim = sim
         self.switch = switch
         self.clients = clients
         self.streams = streams or RandomStreams(seed=0)
         self.dataset_mb = dataset_mb
 
-    def _one_request(self, report: SiegeReport) -> Generator[Event, Any, None]:
+    def _one_request(
+        self, report: SiegeReport, size_mb: float
+    ) -> Generator[Event, Any, None]:
         client = self.clients.next_client()
-        request = web_request(client, self.dataset_mb)
+        request = web_request(client, size_mb)
         started = self.sim.now
         # Observability: the workload client roots the request's trace;
         # the switch and node hang their timed segments off it.  The
@@ -128,10 +134,10 @@ class Siege:
 
         Returns after all in-flight requests complete.
         """
-        if rate_rps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_rps}")
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
+        if not (math.isfinite(rate_rps) and rate_rps > 0):
+            raise ValueError(f"rate must be positive and finite, got {rate_rps}")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(f"duration must be positive and finite, got {duration_s}")
         report = SiegeReport(dataset_mb=self.dataset_mb, started_at=self.sim.now)
         deadline = self.sim.now + duration_s
         in_flight = []
@@ -141,7 +147,9 @@ class Siege:
                 break
             yield self.sim.timeout(gap)
             in_flight.append(
-                self.sim.process(self._one_request(report), name="siege-arrival")
+                self.sim.process(
+                    self._one_request(report, self.dataset_mb), name="siege-arrival"
+                )
             )
         for proc in in_flight:
             yield proc
@@ -161,13 +169,13 @@ class Siege:
             raise ValueError(f"need at least one worker, got {n_workers}")
         if requests_per_worker < 1:
             raise ValueError(f"need at least one request, got {requests_per_worker}")
-        if think_s < 0:
-            raise ValueError(f"negative think time: {think_s}")
+        if not (math.isfinite(think_s) and think_s >= 0):
+            raise ValueError(f"think time must be finite and >= 0, got {think_s}")
         report = SiegeReport(dataset_mb=self.dataset_mb, started_at=self.sim.now)
 
         def worker(sim: Simulator) -> Generator[Event, Any, None]:
             for _ in range(requests_per_worker):
-                yield sim.process(self._one_request(report))
+                yield sim.process(self._one_request(report, self.dataset_mb))
                 if think_s > 0:
                     yield sim.timeout(think_s)
 
@@ -176,6 +184,31 @@ class Siege:
             for i in range(n_workers)
         ]
         for proc in workers:
+            yield proc
+        report.finished_at = self.sim.now
+        return report
+
+    # -- recorded trace -------------------------------------------------------
+    def run_trace(self, trace: ArrivalTrace) -> Generator[Event, Any, SiegeReport]:
+        """Fire ``trace``'s requests at their recorded offsets from now.
+
+        Each arrival carries its own dataset size (the report's
+        ``dataset_mb`` is -1: there is no single size).  Returns after
+        all in-flight requests complete.
+        """
+        report = SiegeReport(dataset_mb=-1.0, started_at=self.sim.now)
+        origin = self.sim.now
+        in_flight = []
+        for offset, size_mb in trace.arrivals:
+            gap = origin + offset - self.sim.now
+            if gap > 0:
+                yield self.sim.timeout(gap)
+            in_flight.append(
+                self.sim.process(
+                    self._one_request(report, size_mb), name="siege-arrival"
+                )
+            )
+        for proc in in_flight:
             yield proc
         report.finished_at = self.sim.now
         return report

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import RequestTimeoutError
 from repro.core.node import ServiceUnavailableError
+from repro.faults.chaos import run_chaos_scenario
 from repro.faults.retry import BackoffPolicy
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
@@ -21,6 +22,19 @@ class TestBackoffPolicy:
             BackoffPolicy(base_s=1.0, cap_s=0.5)
         with pytest.raises(ValueError, match="max_attempts"):
             BackoffPolicy(max_attempts=0)
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="base"):
+            BackoffPolicy(base_s=nan)
+        with pytest.raises(ValueError, match="base"):
+            BackoffPolicy(base_s=inf, cap_s=inf)
+        with pytest.raises(ValueError, match="factor"):
+            BackoffPolicy(factor=nan)
+        with pytest.raises(ValueError, match="factor"):
+            BackoffPolicy(factor=inf)
+        with pytest.raises(ValueError, match="cap"):
+            BackoffPolicy(cap_s=nan)
+        with pytest.raises(ValueError, match="cap"):
+            BackoffPolicy(cap_s=inf)
 
     def test_delay_sequence_doubles_until_capped(self):
         policy = BackoffPolicy(base_s=0.1, factor=2.0, cap_s=0.5, max_attempts=6)
@@ -135,3 +149,22 @@ class TestFailover:
         assert response.node_name in {n.name for n in record.nodes}
         assert switch.failovers == 0
         assert switch.timeouts == 0
+
+
+def test_timeout_and_chaos_inputs_rejected_where_they_enter(spread_testbed):
+    # NaN or a non-positive budget used to be accepted and then failed
+    # every request mid-run (or timed out nearly all of them).
+    nan, inf = float("nan"), float("inf")
+    switch = create_service(spread_testbed, n=1).switch
+    for bad in (nan, inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="timeout"):
+            switch.request_timeout_s = bad
+    assert switch.request_timeout_s is None
+    switch.request_timeout_s = 2.0
+    switch.request_timeout_s = None
+    for name, bad in (
+        ("duration_s", nan), ("rate_rps", -1.0), ("rate_rps", nan),
+        ("window_s", 0.0), ("dataset_mb", nan), ("request_timeout_s", -1.0),
+    ):
+        with pytest.raises(ValueError, match=name):
+            run_chaos_scenario(**{name: bad})

@@ -76,7 +76,9 @@ def test_crash_mid_boot_aborts_boot():
         vm.crash(cause="host fault during priming")
 
     sim.process(saboteur(sim))
-    sim.run()
+    # Nobody waits on the boot process, so its failure escapes run().
+    with pytest.raises(UmlError, match="aborted"):
+        sim.run()
     assert vm.state is UmlState.CRASHED
     assert not boot_proc.ok  # the boot process failed
     with pytest.raises(UmlError, match="aborted"):
@@ -93,6 +95,7 @@ def test_crashed_mid_boot_can_be_shut_down():
         vm.crash()
 
     sim.process(saboteur(sim))
-    sim.run()
+    with pytest.raises(UmlError, match="aborted"):
+        sim.run()
     vm.shutdown()
     assert host.memory.free_mb == pytest.approx(free_before)

@@ -58,7 +58,7 @@ def test_double_boot_rejected():
     sim, host, vm = make_vm()
     boot(sim, vm)
     proc = sim.process(vm.boot())
-    sim2 = Simulator(catch_process_failures=False)
+    sim2 = Simulator()
     _, _, vm2 = make_vm(sim2)
     boot_gen = vm2.boot()
     sim2.process(boot_gen)
@@ -68,7 +68,7 @@ def test_double_boot_rejected():
 
 
 def test_boot_fails_when_memory_exhausted():
-    sim = Simulator(catch_process_failures=False)
+    sim = Simulator()
     host = make_tacoma(sim)  # 768 MB, 300 reserved -> 468 free
     _, _, vm1 = make_vm(sim, host, mem=400.0)
     boot(sim, vm1)

@@ -89,7 +89,7 @@ def test_exchange_validation():
 
     sim.process(bad_size(sim))
     with pytest.raises(ValueError):
-        sim2 = Simulator(catch_process_failures=False)
+        sim2 = Simulator()
         lan2 = LAN(sim2, bandwidth_mbps=100.0)
         http2 = HttpModel(sim2, lan2)
         c2, s2 = lan2.nic("c", 100.0), lan2.nic("s", 100.0)

@@ -12,7 +12,9 @@ shift experiment numbers.
 
 The Figure 5 CPU scheduler traces are pinned to fixed digests rather
 than compared run against run, so a change to the quantum loop that
-moves any float fails here even if it is deterministic.  So are two
+moves any float fails here even if it is deterministic.  So are the
+Figure 4 run at seed 0 and the SLA scenario at seed 7, the two request
+driver paths (Siege's open loop and its trace replay).  So are two
 fluid fleet runs (report plus host ledgers) and a federated run at one
 and two workers, which pins the fluid host dispatch arithmetic.
 
@@ -84,6 +86,27 @@ def _sla_digest(seed):
 
 def test_sla_scenario_bit_identical_across_runs():
     assert _sla_digest(7) == _sla_digest(7)
+
+
+# sha256 of json.dumps(digest, sort_keys=True, default=repr): Figure 4
+# --fast at seed 0 (Siege's open loop on the plain switch path) and the
+# SLA scenario at seed 7 (trace replay, shedder, autoscaler).
+FIG4_DIGEST_SHA = "a60c74e1b4c071e00fe3b5159bd1d0864c40efbe4e352cddd5e814429cf56555"
+SLA_DIGEST_SHA = "980e6e2544f72890af1cdddda40e18ae43bcc3d0651463335db79df417a1556b"
+
+
+def _json_sha(digest):
+    return hashlib.sha256(
+        json.dumps(digest, sort_keys=True, default=repr).encode()
+    ).hexdigest()
+
+
+def test_fig4_digest_pinned():
+    assert _json_sha(_digest(fig4.run(seed=0, fast=True))) == FIG4_DIGEST_SHA
+
+
+def test_sla_scenario_digest_pinned():
+    assert _json_sha(_sla_digest(7)) == SLA_DIGEST_SHA
 
 
 def test_different_seeds_actually_differ():

@@ -13,7 +13,7 @@ from repro.sim.kernel import AllOf, AnyOf, Interrupt, Simulator
 
 
 def test_event_firing_after_interrupted_waiter_finished_is_dropped():
-    sim = Simulator(catch_process_failures=False)
+    sim = Simulator()
     gate = sim.event()
     log = []
 
@@ -47,7 +47,7 @@ def test_event_firing_after_interrupted_waiter_finished_is_dropped():
 def test_stale_wakeup_when_interrupted_waiter_moves_on():
     # Variant: the interrupted process keeps running and blocks on a NEW
     # event.  The OLD event firing must not resume it a second time.
-    sim = Simulator(catch_process_failures=False)
+    sim = Simulator()
     first = sim.event()
     second = sim.event()
     log = []
@@ -105,7 +105,7 @@ def test_all_of_from_already_failed_event_fails_synchronously():
 
 
 def test_waiting_on_failed_condition_raises_in_process():
-    sim = Simulator(catch_process_failures=False)
+    sim = Simulator()
     failed = sim.event()
     failed.fail(RuntimeError("dead upstream"))
     sim.run()

@@ -214,7 +214,7 @@ def test_process_failure_propagates_to_waiter():
 
 
 def test_uncaught_process_failure_raises_when_strict():
-    sim = Simulator(catch_process_failures=False)
+    sim = Simulator()
 
     def bad(sim):
         yield sim.timeout(1)

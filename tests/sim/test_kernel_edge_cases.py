@@ -102,7 +102,9 @@ def test_process_value_of_failed_process_reraises():
         raise RuntimeError("inner")
 
     proc = sim.process(bad(sim))
-    sim.run()
+    # Nobody waits on ``proc``, so its failure also escapes run().
+    with pytest.raises(RuntimeError, match="inner"):
+        sim.run()
     assert proc.triggered and not proc.ok
     with pytest.raises(RuntimeError, match="inner"):
         _ = proc.value

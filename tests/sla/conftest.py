@@ -8,7 +8,8 @@ from repro.image.profiles import make_s1_web_content
 from repro.sim.rng import RandomStreams
 from repro.sla import SLAContract, SLOMonitor
 from repro.workload.clients import ClientPool
-from repro.workload.replay import TraceReplay, poisson_trace
+from repro.workload.replay import poisson_trace
+from repro.workload.siege import Siege
 
 # Load heavy enough to saturate one machine instance (~11 rps at the
 # 0.25 MB dataset) so queues build and shedding thresholds are crossed.
@@ -59,7 +60,7 @@ def overload_tiers(seed, monitor_s=90.0, check_period_s=5.0):
         "silver": SLAContract.silver(p95_s=1.5),
         "bronze": SLAContract.bronze(p95_s=5.0),
     }
-    records, monitors, replays = {}, {}, {}
+    records, monitors = {}, {}
     for name, contract in contracts.items():
         records[name] = create_sla_service(tb, name, contract)
         monitor = SLOMonitor(tb.sim, name, contract, check_period_s=check_period_s)
@@ -75,8 +76,8 @@ def overload_tiers(seed, monitor_s=90.0, check_period_s=5.0):
             streams.spawn(f"load-{name}"), SPIKE_RPS, SPIKE_DURATION_S,
             dataset_mb=DATASET_MB,
         )
-        replays[name] = TraceReplay(tb.sim, records[name].switch, clients, trace)
-        procs[name] = tb.spawn(replays[name].run(), name=f"replay:{name}")
+        siege = Siege(tb.sim, records[name].switch, clients)
+        procs[name] = tb.spawn(siege.run_trace(trace), name=f"replay:{name}")
     reports = {name: tb.sim.run_until_process(proc) for name, proc in procs.items()}
     tb.sim.run()  # let the monitors finish their windows
     return tb, records, monitors, reports

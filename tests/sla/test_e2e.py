@@ -20,7 +20,8 @@ from repro.sla import (
     compliance_summary,
 )
 from repro.workload.clients import ClientPool
-from repro.workload.replay import TraceReplay, poisson_trace
+from repro.workload.replay import poisson_trace
+from repro.workload.siege import Siege
 from tests.sla.conftest import DATASET_MB, SPIKE_DURATION_S, SPIKE_RPS
 
 
@@ -71,7 +72,7 @@ def run_sla_scenario(seed):
             dataset_mb=DATASET_MB,
         )
         tb.spawn(
-            TraceReplay(tb.sim, records[name].switch, clients, trace).run(),
+            Siege(tb.sim, records[name].switch, clients).run_trace(trace),
             name=f"replay:{name}",
         )
     tb.sim.run()  # drain everything: replays, monitors, autoscaler

@@ -17,7 +17,8 @@ from repro.sla import (
     estimate_capacity_rps,
 )
 from repro.workload.clients import ClientPool
-from repro.workload.replay import TraceReplay, poisson_trace
+from repro.workload.replay import poisson_trace
+from repro.workload.siege import Siege
 from tests.sla.conftest import (
     DATASET_MB,
     SPIKE_DURATION_S,
@@ -146,8 +147,8 @@ def test_overloaded_bronze_service_sheds(testbed):
     streams = RandomStreams(3)
     clients = ClientPool(testbed.lan, n=4)
     trace = poisson_trace(streams, SPIKE_RPS, SPIKE_DURATION_S, dataset_mb=DATASET_MB)
-    replay = TraceReplay(testbed.sim, record.switch, clients, trace)
-    report = testbed.run(replay.run(), name="spike")
+    siege = Siege(testbed.sim, record.switch, clients)
+    report = testbed.run(siege.run_trace(trace), name="spike")
     assert record.switch.shedded > 0
     assert report.failures == record.switch.shedded  # sheds surface as failures
     assert report.completed + report.failures == len(trace)
@@ -208,9 +209,9 @@ def test_breach_triggers_autoscaler_resize(testbed):
     streams = RandomStreams(5)
     clients = ClientPool(testbed.lan, n=4)
     trace = poisson_trace(streams, SPIKE_RPS, SPIKE_DURATION_S, dataset_mb=DATASET_MB)
-    replay = TraceReplay(testbed.sim, record.switch, clients, trace)
+    siege = Siege(testbed.sim, record.switch, clients)
     testbed.spawn(monitor.run(90.0), name="slo")
-    testbed.spawn(replay.run(), name="spike")
+    testbed.spawn(siege.run_trace(trace), name="spike")
     testbed.run(autoscaler.run(90.0), name="autoscaler")
     testbed.sim.run()
 

@@ -1,9 +1,10 @@
-"""Tests for arrival-trace replay."""
+"""Tests for arrival traces and their replay through ``Siege.run_trace``."""
 
 import pytest
 
 from repro.sim import RandomStreams
-from repro.workload.replay import ArrivalTrace, TraceReplay, diurnal_trace, poisson_trace
+from repro.workload.replay import ArrivalTrace, diurnal_trace, poisson_trace
+from repro.workload.siege import Siege
 
 
 def test_trace_validation():
@@ -54,8 +55,8 @@ def test_replay_completes_every_arrival(web_service):
     tb, web, honeypot, clients = web_service
     streams = RandomStreams(seed=3)
     trace = poisson_trace(streams, rate_rps=8.0, duration_s=10.0, dataset_mb=0.2)
-    replay = TraceReplay(tb.sim, web.switch, clients, trace)
-    report = tb.run(replay.run())
+    siege = Siege(tb.sim, web.switch, clients)
+    report = tb.run(siege.run_trace(trace))
     assert report.completed == len(trace)
     assert report.failures == 0
 
@@ -64,8 +65,8 @@ def test_replay_preserves_arrival_times(web_service):
     tb, web, honeypot, clients = web_service
     trace = ArrivalTrace(((1.0, 0.1), (5.0, 0.1), (9.0, 0.1)))
     start = tb.now
-    replay = TraceReplay(tb.sim, web.switch, clients, trace)
-    report = tb.run(replay.run())
+    siege = Siege(tb.sim, web.switch, clients)
+    report = tb.run(siege.run_trace(trace))
     assert report.completed == 3
     # The last response cannot arrive before the last recorded arrival.
     assert tb.now >= start + 9.0
@@ -88,8 +89,8 @@ def test_trace_rejects_non_finite_entries():
 def test_replay_of_empty_trace_completes_immediately(web_service):
     tb, web, honeypot, clients = web_service
     start = tb.now
-    replay = TraceReplay(tb.sim, web.switch, clients, ArrivalTrace(()))
-    report = tb.run(replay.run())
+    siege = Siege(tb.sim, web.switch, clients)
+    report = tb.run(siege.run_trace(ArrivalTrace(())))
     assert report.completed == 0
     assert report.failures == 0
     assert tb.now == start  # nothing to wait for
@@ -102,8 +103,8 @@ def test_replay_arrival_exactly_at_horizon(web_service):
     horizon = 10.0
     trace = ArrivalTrace(((1.0, 0.1), (5.0, 0.1), (horizon, 0.1)))
     assert trace.duration == horizon
-    replay = TraceReplay(tb.sim, web.switch, clients, trace)
-    report = tb.run(replay.run())
+    siege = Siege(tb.sim, web.switch, clients)
+    report = tb.run(siege.run_trace(trace))
     assert report.completed == 3
 
 
@@ -127,7 +128,7 @@ def test_replay_counts_failures_when_service_down(web_service):
     for node in web.nodes:
         node.vm.crash()
     trace = ArrivalTrace(((0.1, 0.1), (0.2, 0.1)))
-    replay = TraceReplay(tb.sim, web.switch, clients, trace)
-    report = tb.run(replay.run())
+    siege = Siege(tb.sim, web.switch, clients)
+    report = tb.run(siege.run_trace(trace))
     assert report.failures == 2
     assert report.completed == 0

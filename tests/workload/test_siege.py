@@ -98,6 +98,16 @@ def test_validation(web_service):
         tb.run(siege.run_closed_loop(n_workers=1, requests_per_worker=0))
     with pytest.raises(ValueError):
         tb.run(siege.run_closed_loop(n_workers=1, requests_per_worker=1, think_s=-1))
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(ValueError):
+            Siege(tb.sim, web.switch, clients, dataset_mb=bad)
+        with pytest.raises(ValueError):
+            tb.run(siege.run_open_loop(rate_rps=bad, duration_s=1))
+        with pytest.raises(ValueError):
+            tb.run(siege.run_open_loop(rate_rps=1, duration_s=bad))
+        with pytest.raises(ValueError):
+            tb.run(siege.run_closed_loop(n_workers=1, requests_per_worker=1, think_s=bad))
 
 
 def test_deterministic_given_seed(web_service):
