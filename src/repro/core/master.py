@@ -51,6 +51,24 @@ if TYPE_CHECKING:  # imported lazily at call sites to keep core -> sla acyclic
 __all__ = ["SODAMaster"]
 
 
+def _settled(
+    prime: Generator[Event, Any, VirtualServiceNode],
+) -> Generator[Event, Any, tuple]:
+    """Run one daemon's priming; return ``(node, exc)``, never raise.
+
+    The master spawns every daemon before it waits on any of them, so a
+    daemon may fail while the master is still blocked on an earlier
+    one.  Returning the :class:`PrimingError` instead of raising it
+    keeps that failure from escaping a process nobody awaits yet, and
+    the master's rollback still sees it.
+    """
+    try:
+        node = yield from prime
+    except PrimingError as exc:
+        return None, exc
+    return node, None
+
+
 class SODAMaster:
     """One per HUP."""
 
@@ -166,7 +184,7 @@ class SODAMaster:
             daemon = self.daemons[assignment.host_name]
             prime_procs.append(
                 self.sim.process(
-                    daemon.prime(
+                    _settled(daemon.prime(
                         service_name=service_name,
                         repository=repository,
                         image_name=image_name,
@@ -174,7 +192,7 @@ class SODAMaster:
                         unit_vector=plan.unit_vector,
                         machine=requirement.machine,
                         node_index=index,
-                    ),
+                    )),
                     name=f"prime:{service_name}:{assignment.host_name}",
                 )
             )
@@ -184,10 +202,10 @@ class SODAMaster:
         nodes: List[VirtualServiceNode] = []
         errors: List[PrimingError] = []
         for proc in prime_procs:
-            try:
-                node = yield proc
+            node, exc = yield proc
+            if exc is None:
                 nodes.append(node)
-            except PrimingError as exc:
+            else:
                 errors.append(exc)
         if errors:
             for node in nodes:

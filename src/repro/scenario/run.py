@@ -198,8 +198,7 @@ def run_scenario(
     def one_request(tenant: str, size_mb: float) -> Generator[Event, Any, None]:
         if pricer is not None and bids[tenant] < pricer.rate:
             report.priced_out += 1
-            ledger.stats[tenant].shed += 1
-            ledger.record(tenant, "shed")
+            ledger.shed(tenant)
             return
         request = web_request(clients.next_client(), size_mb, label=tenant)
         yield from ledger.serve(tenant, switches[tenant], request)

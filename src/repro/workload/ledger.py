@@ -54,8 +54,14 @@ class RequestLedger:
         self.outcomes: List[Tuple[float, str, str]] = []
         self.response_s: Dict[str, List[float]] = {tenant: [0.0, 0.0] for tenant in self.stats}
 
-    def record(self, tenant: str, outcome: str) -> None:
+    def _record(self, tenant: str, outcome: str) -> None:
         self.outcomes.append((self.sim.now - self.start, tenant, outcome))
+
+    def shed(self, tenant: str) -> None:
+        """File one request for ``tenant`` as shed (by the switch, or by
+        the caller before it ever reaches one)."""
+        self.stats[tenant].shed += 1
+        self._record(tenant, "shed")
 
     def serve(self, tenant: str, switch, request) -> Generator[Event, Any, None]:
         """Serve ``request`` through ``switch`` and file its outcome."""
@@ -64,19 +70,18 @@ class RequestLedger:
         try:
             yield from switch.serve(request)
         except RequestSheddedError:
-            stats.shed += 1
-            self.record(tenant, "shed")
+            self.shed(tenant)
         except RequestTimeoutError:
             stats.failed += 1
             stats.timeouts += 1
-            self.record(tenant, "failed")
+            self._record(tenant, "failed")
         except SODAError:
             stats.failed += 1
-            self.record(tenant, "failed")
+            self._record(tenant, "failed")
         else:
             stats.served += 1
             elapsed = self.sim.now - issued_at
             totals = self.response_s[tenant]
             totals[0] += elapsed
             totals[1] = max(totals[1], elapsed)
-            self.record(tenant, "ok")
+            self._record(tenant, "ok")

@@ -77,6 +77,23 @@ def test_partial_multi_host_failure_rolls_back_completed_nodes():
     assert tb.master.get_service("filler").is_running
 
 
+def test_later_host_failing_first_still_rolls_back():
+    """Fill seattle so <2, M> splits seattle (waited on first) and
+    tacoma, then starve tacoma's RAM: tacoma's boot fails while the
+    seattle node is still booting, and the failure must still reach
+    the master's rollback."""
+    tb = build()
+    create(tb, name="filler", n=2)
+    tacoma = tb.hosts["tacoma"]
+    hog = tacoma.memory.allocate(tacoma.memory.free_mb - 10, purpose="hog")
+    before = snapshot(tb)
+    with pytest.raises(PrimingError, match="boot failed"):
+        create(tb, name="web", n=2)
+    assert snapshot(tb) == before
+    assert "web" not in tb.master.services
+    hog.release()
+
+
 def test_unknown_image_at_daemon_level_rolls_back_reservation():
     tb = build()
     daemon = tb.daemons["seattle"]
