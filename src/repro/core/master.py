@@ -54,13 +54,11 @@ __all__ = ["SODAMaster"]
 def _settled(
     prime: Generator[Event, Any, VirtualServiceNode],
 ) -> Generator[Event, Any, tuple]:
-    """Run one daemon's priming; return ``(node, exc)``, never raise.
+    """One daemon's priming; returns ``(node, exc)``, never raises.
 
-    The master spawns every daemon before it waits on any of them, so a
-    daemon may fail while the master is still blocked on an earlier
-    one.  Returning the :class:`PrimingError` instead of raising it
-    keeps that failure from escaping a process nobody awaits yet, and
-    the master's rollback still sees it.
+    A daemon may fail before the master (joining them in order) waits
+    on it; returning the :class:`PrimingError` hands it to the rollback
+    instead of failing a process nobody awaits yet.
     """
     try:
         node = yield from prime

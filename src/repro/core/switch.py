@@ -230,21 +230,12 @@ class ServiceSwitch:
             cache = self._obs_cache = _SwitchMetrics(registry, self.service_name)
         return cache
 
-    def _obs_outcome(self, outcome: str, latency_s: Optional[float] = None) -> None:
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.outcome(outcome, latency_s, self.tenant)
-
     # -- SLA hooks (extension) ----------------------------------------------
     def add_outcome_listener(
         self, listener: Callable[[float, Optional[float], str], None]
     ) -> None:
         """Subscribe ``listener(time, latency_s, outcome)`` to every request."""
         self._outcome_listeners.append(listener)
-
-    def _notify(self, latency_s: Optional[float], outcome: str) -> None:
-        for listener in self._outcome_listeners:
-            listener(self.sim.now, latency_s, outcome)
 
     # -- failover configuration ----------------------------------------------
     @property
@@ -388,10 +379,9 @@ class ServiceSwitch:
         # budget installed, dispatch attempts run — and re-run — through
         # the failover engine.  Neither installed: the plain path below.
         if self.retry_policy is not None or self._request_timeout_s is not None:
-            response = yield from self._serve_with_failover(
+            return (yield from self._serve_with_failover(
                 request, started, lane, root, dispatch, owned
-            )
-            return response
+            ))
         # 2. Switch processing (serialised).
         slot = self._dispatcher.request()
         try:
@@ -438,21 +428,27 @@ class ServiceSwitch:
         if cache is not None:
             cache.dispatched(backend.name)
 
+    def _outcome(self, outcome: str, latency_s: Optional[float]) -> None:
+        """Hand one request outcome to the listeners, then the metrics."""
+        for listener in self._outcome_listeners:
+            listener(self.sim.now, latency_s, outcome)
+        cache = self._obs_metrics()
+        if cache is not None:
+            cache.outcome(outcome, latency_s, self.tenant)
+
     def _served(self, started: float, response: NodeResponse, root) -> None:
         """Account a served request: listeners, metrics, then its root span."""
         now = self.sim.now
         elapsed = now - started
         self.response_times.record(now, elapsed)
-        self._notify(elapsed, "ok")
-        self._obs_outcome("ok", elapsed)
+        self._outcome("ok", elapsed)
         if root is not None:
             root.finish(now).annotate(node=response.node_name)
 
     def _refused(self, outcome: str, dispatch, root) -> None:
         """Account a shed or failed request: listeners, metrics, then
         whichever of its spans are still open (None skips a span)."""
-        self._notify(None, outcome)
-        self._obs_outcome(outcome)
+        self._outcome(outcome, None)
         now = self.sim.now
         if dispatch is not None and not dispatch.finished:
             dispatch.finish(now, outcome)

@@ -252,7 +252,7 @@ def run_chaos_scenario(
         1 for _t, _n, outcome in ledger.outcomes[post_before:] if outcome == "ok"
     )
 
-    report = ChaosReport(
+    return ChaosReport(
         seed=seed,
         duration_s=duration_s,
         window_s=window_s,
@@ -270,4 +270,3 @@ def run_chaos_scenario(
         failovers={name: records[name].switch.failovers for name in contracts},
         post_faults_ok=post_ok,
     )
-    return report

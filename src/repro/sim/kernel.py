@@ -449,10 +449,8 @@ class Simulator:
     and every process (or condition) waiting on it receives it.  A
     failure that nobody is waiting on is re-raised out of :meth:`run`,
     :meth:`run_until_process` or :meth:`step`, so it is never dropped.
-    "Waiting" is judged when the process fails: a parent that spawns
-    several children and then waits on them one at a time has each
-    child return its expected error instead of raising it (the master's
-    parallel priming does this).
+    "Waiting" is judged when the process fails, so a parent joining
+    several children in turn has them return expected errors instead.
     """
 
     def __init__(self):

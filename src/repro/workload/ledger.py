@@ -71,12 +71,10 @@ class RequestLedger:
             yield from switch.serve(request)
         except RequestSheddedError:
             self.shed(tenant)
-        except RequestTimeoutError:
+        except SODAError as exc:
             stats.failed += 1
-            stats.timeouts += 1
-            self._record(tenant, "failed")
-        except SODAError:
-            stats.failed += 1
+            if isinstance(exc, RequestTimeoutError):
+                stats.timeouts += 1
             self._record(tenant, "failed")
         else:
             stats.served += 1

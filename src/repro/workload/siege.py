@@ -92,9 +92,7 @@ class Siege:
         self.streams = streams or RandomStreams(seed=0)
         self.dataset_mb = dataset_mb
 
-    def _one_request(
-        self, report: SiegeReport, size_mb: float
-    ) -> Generator[Event, Any, None]:
+    def _one_request(self, report: SiegeReport, size_mb: float) -> Generator[Event, Any, None]:
         client = self.clients.next_client()
         request = web_request(client, size_mb)
         started = self.sim.now
