@@ -18,6 +18,7 @@ speed — exactly the intent of the paper's inflation factor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -71,8 +72,12 @@ class Request:
     trace: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.response_mb < 0:
-            raise ValueError(f"negative response size: {self.response_mb}")
+        # NaN fails every comparison, so a plain ``< 0`` check would let
+        # it through and the node would serve it with no response body.
+        if not (math.isfinite(self.response_mb) and self.response_mb >= 0):
+            raise ValueError(
+                f"response size must be finite and non-negative, got {self.response_mb}"
+            )
 
     def with_trace(self, trace: Any) -> "Request":
         """A copy of this request carrying ``trace``.
@@ -157,6 +162,7 @@ class VirtualServiceNode:
         self.served = 0
         self.failed = 0
         self.response_times = Monitor(f"{name}:service")
+        self._resp_label = f"{name}:resp"  # response flows' LAN label
         self.torn_down = False
         # Observability: metric children bound lazily against the
         # registry attached to the simulator (rebound if it changes).
@@ -294,7 +300,7 @@ class VirtualServiceNode:
             if wire_mb > 0:
                 flow = self.lan.transfer(
                     self.host.nic, request.client, wire_mb, rate_cap_mbps=cap,
-                    label=f"{self.name}:resp",
+                    label=self._resp_label,
                 )
                 yield flow.done
             else:

@@ -14,9 +14,10 @@ The serving path modelled per request:
    queue — a flooded switch backs up, the §3.5 DDoS caveat);
 3. the request is forwarded to the chosen back-end node (loopback when
    co-located);
-4. the back-end serves it; the response body returns directly from the
-   back-end's host to the client (direct-server-return, so the switch
-   never carries response bandwidth).
+4. the back-end serves it, inside the request's own simulated process;
+   the response body returns directly from the back-end's host to the
+   client (direct-server-return, so the switch never carries response
+   bandwidth).
 
 Crashed nodes are skipped at dispatch time; if no healthy node remains
 the request fails with :class:`ServiceUnavailableError`.
@@ -195,7 +196,11 @@ class ServiceSwitch:
         self.dispatched = 0
         self.rejected = 0
         self.shedded = 0
-        self.response_times = Monitor(f"switch:{service_name}")
+        # Span lane and LAN flow labels, built once rather than per request.
+        self._lane = f"switch:{service_name}"
+        self._in_label = self._lane + ":in"
+        self._fwd_label = self._lane + ":fwd"
+        self.response_times = Monitor(self._lane)
         self.per_node_count: Dict[str, int] = {n.name: 0 for n in nodes}
         # SLA hooks: a shedder decides drops under load; outcome
         # listeners tap the per-request outcome stream.
@@ -349,7 +354,7 @@ class ServiceSwitch:
         # ``owned``, which this switch must then close).  Spans only
         # read the clock — the timing model is untouched.
         tracer = tracer_of(self.sim)
-        lane = f"switch:{self.service_name}"
+        lane = self._lane
         root = dispatch = owned = None
         if tracer is not None:
             root = request.trace
@@ -364,7 +369,7 @@ class ServiceSwitch:
         # 1. Client -> switch home node.
         inbound = self.lan.transfer(
             request.client, self.home_node.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:in",
+            label=self._in_label,
         )
         yield inbound.done
         # SLA class-priority shedding: drop at ingress while backlog
@@ -399,15 +404,16 @@ class ServiceSwitch:
         # 3. Forward to the back-end (loopback when co-located).
         yield from self._forward(backend)
         if dispatch is not None:
-            # The back-end process bootstraps at this same instant, so
-            # closing the dispatch segment here makes it contiguous with
-            # the node's queue_wait segment.
+            # The back-end's queue_wait segment opens at this same
+            # instant, so closing the dispatch segment here keeps the
+            # two contiguous.
             dispatch.finish(self.sim.now).annotate(node=backend.name)
-        # 4. Back-end serves; response returns directly to the client.
+        # 4. Back-end serves inside this process (no child process, so
+        # no bootstrap or completion heap entry per request); the
+        # response returns directly to the client.  A node failure —
+        # down, died while queued, or a successful exploit — raises here.
         try:
-            response = yield self.sim.process(
-                backend.serve(request), name=f"serve:{backend.name}"
-            )
+            response = yield from backend.serve(request)
         except SODAError:
             self.rejected += 1
             self._refused("failed", dispatch, owned)
@@ -419,7 +425,7 @@ class ServiceSwitch:
         """Forward a request to ``backend`` over the LAN and count it."""
         forward = self.lan.transfer(
             self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
-            label=f"switch:{self.service_name}:fwd",
+            label=self._fwd_label,
         )
         yield forward.done
         self.dispatched += 1
@@ -594,9 +600,7 @@ class ServiceSwitch:
         """
         yield from self._forward(backend)
         try:
-            response = yield self.sim.process(
-                backend.serve(request), name=f"serve:{backend.name}"
-            )
+            response = yield from backend.serve(request)
         except SODAError as exc:
             return None, exc
         return response, None

@@ -27,6 +27,7 @@ cycles run unmodified (Figure 6's observation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -85,10 +86,14 @@ class SyscallMix:
     n_syscalls: float
 
     def __post_init__(self) -> None:
-        if self.user_mcycles < 0:
-            raise ValueError(f"negative user cycles: {self.user_mcycles}")
-        if self.n_syscalls < 0:
-            raise ValueError(f"negative syscall count: {self.n_syscalls}")
+        if not (math.isfinite(self.user_mcycles) and self.user_mcycles >= 0):
+            raise ValueError(
+                f"user cycles must be finite and non-negative, got {self.user_mcycles}"
+            )
+        if not (math.isfinite(self.n_syscalls) and self.n_syscalls >= 0):
+            raise ValueError(
+                f"syscall count must be finite and non-negative, got {self.n_syscalls}"
+            )
 
 
 class SyscallCostModel:

@@ -35,9 +35,13 @@ and batched:
   assigns new rates.  (A new flow therefore carries rate 0 until the
   flush — assigning eagerly would let the drain charge the new rate
   over time before the flow existed.)
-* Per-NIC active-flow sets are maintained on arrival/departure, so the
-  progressive-filling pass seeds its residual/share-count tables directly
-  instead of rebuilding them from scratch.
+* The flush drains the fluid state only when simulated time has passed
+  since the last drain, and arms the next completion wake-up in the same
+  pass.
+* Arrivals and departures keep no per-NIC bookkeeping.  The NIC-aware
+  fill (taken only when a NIC slower than the segment is attached, or a
+  fault is armed) builds its residual and share-count tables with one
+  scan of the wire group; the cap-only fill below needs no tables.
 * Bottleneck groups are recomputed selectively: loopback flows form
   singleton groups whose rate is ``min(cap, loopback)`` independent of
   every other flow, and the wire group (all flows sharing the LAN
@@ -165,7 +169,7 @@ class Flow:
         self.rate_cap_mbps = rate_cap_mbps
         self.label = label
         self.rate_mbs = 0.0  # current allocated rate, MB/s
-        self.started_at = lan.sim.now
+        self.started_at = lan.sim._now
         self.finished_at: Optional[float] = None
         self.done: Event = Event(lan.sim)
         self._cap_mbs = math.inf if rate_cap_mbps is None else rate_cap_mbps / 8.0
@@ -246,10 +250,6 @@ class LAN:
         self._nic_floor_mbps = math.inf
         self._flows: List[Flow] = []  # all active flows, arrival order
         self._wire: List[Flow] = []  # non-loopback active flows, arrival order
-        # Per-NIC active (non-loopback) flow sets, maintained on
-        # arrival/departure so the allocator can seed its residual and
-        # share-count tables without scanning every flow.
-        self._nic_flows: Dict[NetworkInterface, Set[Flow]] = {}
         self._last_update = sim.now
         self._wake_generation = 0
         self._flush_pending = False
@@ -391,7 +391,8 @@ class LAN:
         """Start a transfer; ``flow.done`` fires on completion."""
         if not 0 < size_mb < math.inf:
             raise ValueError(f"transfer size must be positive and finite, got {size_mb}")
-        _check_rate_cap(rate_cap_mbps)
+        if rate_cap_mbps is not None:
+            _check_rate_cap(rate_cap_mbps)
         flow = Flow(self, src, dst, size_mb, rate_cap_mbps, label)
         registry = getattr(self.sim, "metrics", None)
         if registry is not None:
@@ -411,16 +412,18 @@ class LAN:
             # here: a rate granted before the flush would be charged
             # over the whole interval since the last drain, pre-draining
             # the flow for time before it existed.
-            self._mark_dirty(loopback=True)
+            self._loopback_dirty = True
         else:
             floor = self._nic_floor_mbps
             if src.rate_mbps < floor or dst.rate_mbps < floor:
                 # A NIC built outside nic() (e.g. another LAN's).
                 self._nic_floor_mbps = min(src.rate_mbps, dst.rate_mbps)
             self._wire.append(flow)
-            self._nic_flows.setdefault(src, set()).add(flow)
-            self._nic_flows.setdefault(dst, set()).add(flow)
-            self._mark_dirty(wire=True)
+            self._wire_dirty = True
+        # _mark_dirty, inlined: this runs once per transfer.
+        if not self._flush_pending:
+            self._flush_pending = True
+            self.sim._schedule_direct(self._flush_shim, URGENT)
         return flow
 
     # -- fluid-model internals ----------------------------------------------
@@ -442,7 +445,8 @@ class LAN:
             if registry is not self._obs_registry:
                 self._obs_bind(registry)
             self._obs_flushes.inc()
-        self._advance()
+        if self.sim._now > self._last_update:
+            self._advance()
         if self._loopback_dirty:
             self._loopback_dirty = False
             for flow in self._flows:
@@ -451,11 +455,24 @@ class LAN:
         if self._wire_dirty:
             self._wire_dirty = False
             self._compute_wire_rates()
-        self._arm_wake()
+        # Arm a wake-up at the next flow-completion instant; any wake-up
+        # armed earlier is superseded by the generation bump.
+        self._wake_generation += 1
+        next_completion = math.inf
+        for flow in self._flows:
+            rate = flow.rate_mbs
+            if rate > 0:
+                dt = flow.remaining_mb / rate
+                if dt < next_completion:
+                    next_completion = dt
+        if next_completion < math.inf:
+            self.sim._schedule_direct(
+                self._wake_shim, NORMAL, next_completion, self._wake_generation
+            )
 
     def _advance(self) -> None:
         """Drain all flows at their current rates up to now."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
         if dt <= 0 or not self._flows:
@@ -472,28 +489,17 @@ class LAN:
                 flow.remaining_mb = remaining
         if finished:
             self._flows = [f for f in self._flows if f.remaining_mb > 0.0]
-            wire_changed = False
             for flow in finished:
                 if not flow._loopback:
-                    wire_changed = True
-                    self._discard_nic(flow.src, flow)
-                    self._discard_nic(flow.dst, flow)
-            if wire_changed:
-                self._wire = [f for f in self._wire if f.remaining_mb > 0.0]
-                self._wire_dirty = True
+                    self._wire = [f for f in self._wire if f.remaining_mb > 0.0]
+                    self._wire_dirty = True
+                    break
             for flow in finished:
                 self._finish(flow)
 
-    def _discard_nic(self, nic: NetworkInterface, flow: Flow) -> None:
-        flows = self._nic_flows.get(nic)
-        if flows is not None:
-            flows.discard(flow)
-            if not flows:
-                del self._nic_flows[nic]
-
     def _finish(self, flow: Flow) -> None:
         """Deliver the last byte after one propagation latency."""
-        flow.finished_at = self.sim.now + self.latency_s
+        flow.finished_at = self.sim._now + self.latency_s
         if self.latency_s == 0:
             flow.done.succeed(flow)
         else:
@@ -505,9 +511,9 @@ class LAN:
 
         Resources: the LAN segment (used by every non-loopback flow) and
         each NIC (as source or destination).  Per-flow caps are honoured.
-        The per-NIC active-flow sets seed the residual/count tables, and
-        the rounds iterate the wire list in arrival order, which keeps
-        the allocation deterministic.
+        The NIC-aware fill builds its residual/count tables with one scan
+        of the flows it fills, and the rounds iterate the wire list in
+        arrival order, which keeps the allocation deterministic.
 
         Cap-only fill: while every NIC is at least as fast as the segment
         and no fault is armed, no NIC share can undercut the segment
@@ -518,12 +524,11 @@ class LAN:
         wire = self._wire
         if not wire:
             return
-        if self._stalled or self._partition is not None:
+        faulted = bool(self._stalled) or self._partition is not None
+        if faulted:
             # Fault path: blocked flows freeze at rate 0 and drop out of
             # the max-min pass entirely (they hold no share of the
-            # segment or of their NICs while frozen).  The residual and
-            # count tables are rebuilt from the active subset — this is
-            # a scan, but it only runs while a fault is armed.
+            # segment or of their NICs while frozen).
             active: List[Flow] = []
             for flow in wire:
                 if self._blocked(flow):
@@ -533,8 +538,10 @@ class LAN:
             if not active:
                 return
             wire = active
-            residual = {}
-            count = {}
+        nic_terms = faulted or self._nic_floor_mbps < self.bandwidth_mbps
+        if nic_terms:
+            residual: Dict[NetworkInterface, float] = {}
+            count: Dict[NetworkInterface, int] = {}
             for flow in wire:
                 for nic in (flow.src, flow.dst):
                     if nic in count:
@@ -542,15 +549,6 @@ class LAN:
                     else:
                         count[nic] = 1
                         residual[nic] = nic.rate_mbs
-            nic_terms = True
-        else:
-            nic_terms = self._nic_floor_mbps < self.bandwidth_mbps
-            if nic_terms:
-                residual = {}
-                count = {}
-                for nic, flows in self._nic_flows.items():
-                    residual[nic] = nic.rate_mbs
-                    count[nic] = len(flows)
         lan_residual = self.bandwidth_mbps / 8.0
         lan_count = len(wire)
         for flow in wire:
@@ -601,20 +599,6 @@ class LAN:
                     count[dst] -= 1
             assert progressed, "progressive filling must fix at least one flow"
 
-    def _arm_wake(self) -> None:
-        """Arm a wake-up at the next flow-completion instant."""
-        self._wake_generation += 1
-        generation = self._wake_generation
-        next_completion = math.inf
-        for flow in self._flows:
-            if flow.rate_mbs > 0:
-                dt = flow.remaining_mb / flow.rate_mbs
-                if dt < next_completion:
-                    next_completion = dt
-        if math.isinf(next_completion):
-            return
-        self.sim._schedule_direct(self._wake_shim, NORMAL, next_completion, generation)
-
     def _on_wake(self, generation: int) -> None:
         if generation != self._wake_generation:
             return  # superseded by a newer reschedule
@@ -623,4 +607,6 @@ class LAN:
         # same-instant reactions (e.g. follow-up transfers started by
         # `done` waiters) have been applied.
         self._advance()
-        self._mark_dirty()
+        if not self._flush_pending:  # _mark_dirty(), inlined
+            self._flush_pending = True
+            self.sim._schedule_direct(self._flush_shim, URGENT)

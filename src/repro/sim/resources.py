@@ -28,7 +28,13 @@ class _Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: Simulator, resource: "Resource"):
-        super().__init__(sim)
+        # Inlined Event.__init__ (one request per dispatch and per
+        # back-end visit, so the super() call shows in the benches).
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._ok = None
         self.resource = resource
 
     # Context-manager sugar so processes can write
@@ -74,8 +80,9 @@ class Resource:
     def request(self) -> _Request:
         """Ask for one unit; the returned event fires on acquisition."""
         req = _Request(self.sim, self)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
+        users = self.users
+        if len(users) < self.capacity:
+            users.append(req)
             req.succeed(req)
         else:
             self.queue.append(req)
@@ -86,9 +93,11 @@ class Resource:
 
         Releasing a queued (never-granted) request cancels it.
         """
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_queued()
+        users = self.users
+        if request in users:
+            users.remove(request)
+            if self.queue:
+                self._grant_queued()
         else:
             try:
                 self.queue.remove(request)

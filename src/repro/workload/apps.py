@@ -12,6 +12,8 @@ unmodified.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.node import Request
 from repro.guestos.syscall import SyscallMix
 from repro.net.lan import NetworkInterface
@@ -38,8 +40,8 @@ WEB_USER_MCYCLES_PER_MB = 2.0
 
 def web_request_mix(dataset_mb: float) -> SyscallMix:
     """The per-request execution profile for a D-MB static dataset."""
-    if dataset_mb < 0:
-        raise ValueError(f"negative dataset size: {dataset_mb}")
+    if not (math.isfinite(dataset_mb) and dataset_mb >= 0):
+        raise ValueError(f"dataset size must be finite and non-negative, got {dataset_mb}")
     return SyscallMix(
         user_mcycles=WEB_BASE_USER_MCYCLES + WEB_USER_MCYCLES_PER_MB * dataset_mb,
         n_syscalls=WEB_BASE_SYSCALLS + WEB_SYSCALLS_PER_MB * dataset_mb,

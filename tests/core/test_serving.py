@@ -197,3 +197,10 @@ def test_request_with_trace_copies_every_other_field():
     )
     with pytest.raises(AttributeError):
         traced.trace = None  # still frozen
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_request_rejects_non_finite_or_negative_response_size(bad):
+    # NaN used to pass the ``< 0`` check and be "served" with no body.
+    with pytest.raises(ValueError, match="response size must be finite"):
+        Request(client="c", response_mb=bad, mix=SyscallMix(1.0, 30))

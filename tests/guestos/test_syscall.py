@@ -108,3 +108,11 @@ def test_table4_regeneration_structure():
 def test_model_validation():
     with pytest.raises(ValueError):
         SyscallCostModel(interception_cycles=-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_mix_rejects_non_finite_or_negative_fields(bad):
+    with pytest.raises(ValueError, match="user cycles must be finite"):
+        SyscallMix(user_mcycles=bad, n_syscalls=10)
+    with pytest.raises(ValueError, match="syscall count must be finite"):
+        SyscallMix(user_mcycles=1.0, n_syscalls=bad)

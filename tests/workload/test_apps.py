@@ -49,3 +49,11 @@ def test_honeypot_probe_vs_exploit():
     assert exploit.is_exploit
     assert exploit.label == "exploit"
     assert probe.response_mb < 0.1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_web_mix_and_request_reject_non_finite_or_negative_sizes(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        web_request_mix(bad)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        web_request(client(), bad)
