@@ -84,6 +84,26 @@ is hashed into the federation digest (``ClusterShard.digest``), so
 cutting a push (delivering ``done`` without its latency ``Timeout``,
 say) changes pinned digests and needs its references re-recorded.
 
+Clock resolution
+----------------
+A flow finishes when a drain leaves at most ``_EPS`` MB of it, or when
+its remaining time is below one step of the clock.  Far from t = 0 a
+residue just above ``_EPS`` can need less time than that:
+``now + remaining / rate == now``.  The wake-up armed for it fires at
+the instant it was armed, with nothing to drain.  ``_advance`` already
+tests whether time passed since the last drain; when none has (which
+only such a wake-up can cause, since ``_flush`` drains only after time
+has passed and a flush in between supersedes the wake-up), it finishes
+every flow whose completion time rounds to ``now`` and counts its
+remaining bytes as delivered.  At the default rates the fastest
+path is the 500 MB/s loopback, so a residue above ``_EPS`` lasts at
+least 2e-12 s and the rule cannot fire for it before t = 2**15 s
+(about 3.3e4 s); no workload or pinned run reaches that.  A transfer
+smaller than ``_EPS`` started after the instant's first flush can take
+the rule at any time (1e-13 MB on loopback at t = 100 s does).  Flows
+complete at any start horizon.  Tests cover horizons up to 1e12 s,
+where completion instants are exact to the clock's step (1.2e-4 s).
+
 Fault hooks
 -----------
 The fault-injection layer (``repro.faults``) drives three degradation
@@ -475,18 +495,31 @@ class LAN:
         now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        if not self._flows:
             return
         finished: Optional[List[Flow]] = None
-        for flow in self._flows:
-            remaining = flow.remaining_mb - flow.rate_mbs * dt
-            if remaining <= _EPS:
+        if dt > 0:
+            for flow in self._flows:
+                remaining = flow.remaining_mb - flow.rate_mbs * dt
+                if remaining <= _EPS:
+                    flow.remaining_mb = 0.0
+                    if finished is None:
+                        finished = []
+                    finished.append(flow)
+                else:
+                    flow.remaining_mb = remaining
+        else:
+            # No time passed: ``_flush`` drains only after time has, so
+            # this is a live wake-up armed below clock resolution.  The
+            # flows whose completion time rounds to now finish with
+            # their remaining bytes delivered (module docstring, "Clock
+            # resolution").
+            finished = [
+                flow for flow in self._flows
+                if flow.rate_mbs > 0 and now + flow.remaining_mb / flow.rate_mbs <= now
+            ]
+            for flow in finished:
                 flow.remaining_mb = 0.0
-                if finished is None:
-                    finished = []
-                finished.append(flow)
-            else:
-                flow.remaining_mb = remaining
         if finished:
             self._flows = [f for f in self._flows if f.remaining_mb > 0.0]
             for flow in finished:

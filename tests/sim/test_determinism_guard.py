@@ -10,9 +10,10 @@ substrate changes (set iteration order, batched recomputation, direct
 resume paths, idle-quantum batching) fails here before it can silently
 shift experiment numbers.
 
-The Figure 5 CPU scheduler traces are pinned to fixed digests rather
-than compared run against run, so a change to the quantum loop that
-moves any float fails here even if it is deterministic.  So are the
+The CPU scheduler traces (Figure 5's groups, and four groups with
+unequal tickets) are pinned to fixed digests rather than compared run
+against run, so a change to the quantum loop that moves any float
+fails here even if it is deterministic.  So are the
 Figure 4 run at seed 0 and the SLA scenario at seed 7, the two request
 driver paths (Siege's open loop and its trace replay).  So are two
 fluid fleet runs (report plus host ledgers) and a federated run at one
@@ -33,7 +34,9 @@ import repro.experiments.fig4_loadbalance as fig4
 from repro.faults.chaos import run_chaos_scenario
 from repro.host.scheduler import (
     ProportionalShareScheduler,
+    TaskGroup,
     VanillaLinuxScheduler,
+    WorkloadSpec,
     figure5_groups,
 )
 from repro.market import fast_params, run_market_scenario
@@ -296,8 +299,25 @@ SCHEDULER_TRACE_DIGESTS = {
 }
 
 
-def _scheduler_digest(cls):
-    trace = cls(figure5_groups(), RandomStreams(seed=7)).run(30.0)
+# The same digests over four groups with unequal tickets (seed 7, 120 s):
+# groups that are never idle next to ones that block every quantum.
+UNEQUAL_TICKETS_TRACE_DIGESTS = {
+    VanillaLinuxScheduler: "c69bb6488b8f207851d2c718e029b44e613ca6ab7550c51c0a1432d4defb1104",
+    ProportionalShareScheduler: "b5867c55b91a7d76cd7ba5b2d776f114f20a663f56fae0ba6f70972aebfc36f2",
+}
+
+
+def unequal_tickets_groups():
+    return [
+        TaskGroup("web", [WorkloadSpec.web_server()] * 3, tickets=3.0),
+        TaskGroup("comp", [WorkloadSpec.cpu_hog()] * 2, tickets=2.0),
+        TaskGroup("log", [WorkloadSpec.disk_logger()] * 2, tickets=1.0),
+        TaskGroup("batch", [WorkloadSpec.cpu_hog()] * 4, tickets=1.0),
+    ]
+
+
+def _scheduler_digest(cls, make_groups=figure5_groups, horizon_s=30.0):
+    trace = cls(make_groups(), RandomStreams(seed=7)).run(horizon_s)
     return hashlib.sha256(
         repr(trace.group_names).encode() + trace.times.tobytes() + trace.cumulative.tobytes()
     ).hexdigest()
@@ -306,6 +326,11 @@ def _scheduler_digest(cls):
 def test_scheduler_trace_digests_pinned():
     for cls, expected in SCHEDULER_TRACE_DIGESTS.items():
         assert _scheduler_digest(cls) == expected, cls.__name__
+
+
+def test_unequal_tickets_scheduler_trace_digests_pinned():
+    for cls, expected in UNEQUAL_TICKETS_TRACE_DIGESTS.items():
+        assert _scheduler_digest(cls, unequal_tickets_groups, 120.0) == expected, cls.__name__
 
 
 # -- fluid host dispatch is pinned to fixed digests ----------------------------
