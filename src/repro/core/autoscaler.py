@@ -17,6 +17,7 @@ sustained SLO violations force capacity instead of just credits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
@@ -42,14 +43,19 @@ class AutoscalerConfig:
     min_samples: int = 5
 
     def __post_init__(self) -> None:
-        if self.target_response_s <= 0:
-            raise ValueError("target response time must be positive")
+        if not (math.isfinite(self.target_response_s) and self.target_response_s > 0):
+            raise ValueError(
+                f"target response time must be positive and finite, "
+                f"got {self.target_response_s}"
+            )
         if not 1 <= self.min_units <= self.max_units:
             raise ValueError(
                 f"need 1 <= min_units <= max_units, got {self.min_units}/{self.max_units}"
             )
-        if self.check_period_s <= 0:
-            raise ValueError("check period must be positive")
+        if not (math.isfinite(self.check_period_s) and self.check_period_s > 0):
+            raise ValueError(
+                f"check period must be positive and finite, got {self.check_period_s}"
+            )
         if not 0 < self.scale_down_at < self.scale_up_at:
             raise ValueError("need 0 < scale_down_at < scale_up_at")
         if self.min_samples < 1:
@@ -102,7 +108,9 @@ class ReactiveAutoscaler:
     def _recent_mean_response(self, window_start: float) -> Optional[float]:
         record = self.agent.master.get_service(self.service_name)
         monitor = record.switch.response_times
-        window = monitor.window(window_start, self.sim.now + 1e-9)
+        # The window is half-open; its end is the next float after now,
+        # so a sample recorded this instant counts at any horizon.
+        window = monitor.window(window_start, math.nextafter(self.sim.now, math.inf))
         if window.count < self.config.min_samples:
             return None
         return window.mean()

@@ -11,6 +11,7 @@ this safe: a crash never corrupts anything outside the guest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional
 
@@ -83,8 +84,8 @@ class NodeWatchdog:
     """Polls a service's nodes; re-boots crashed guests."""
 
     def __init__(self, sim: Simulator, record: ServiceRecord, poll_s: float = 1.0):
-        if poll_s <= 0:
-            raise ValueError(f"poll period must be positive, got {poll_s}")
+        if not (math.isfinite(poll_s) and poll_s > 0):
+            raise ValueError(f"poll period must be positive and finite, got {poll_s}")
         self.sim = sim
         self.record = record
         self.poll_s = poll_s

@@ -14,13 +14,14 @@ The serving path modelled per request:
    queue — a flooded switch backs up, the §3.5 DDoS caveat);
 3. the request is forwarded to the chosen back-end node (loopback when
    co-located);
-4. the back-end serves it, inside the request's own simulated process;
-   the response body returns directly from the back-end's host to the
-   client (direct-server-return, so the switch never carries response
-   bandwidth).
+4. the back-end serves it; the response body returns directly from the
+   back-end's host to the client (direct-server-return, so the switch
+   never carries response bandwidth).
 
-Crashed nodes are skipped at dispatch time; if no healthy node remains
-the request fails with :class:`ServiceUnavailableError`.
+Steps 2-4 are one *attempt*, and one attempt loop is the only serving
+engine.  Crashed and quarantined nodes are skipped at dispatch time; if
+no healthy node remains the attempt fails with
+:class:`ServiceUnavailableError`.
 
 SLA hooks (extension): a shedder installed by the SODA Master drops
 requests when backlog saturates (class-priority load shedding, bronze
@@ -28,18 +29,19 @@ first — see :mod:`repro.sla.enforcement`), and outcome listeners (e.g.
 an :class:`~repro.sla.monitor.SLOMonitor`) receive every per-request
 outcome — ``(time, latency, "ok" | "failed" | "shed")`` — as it happens.
 
-Failover hooks (extension): with a :attr:`ServiceSwitch.retry_policy`
-(capped exponential backoff, see :class:`repro.faults.retry.BackoffPolicy`
-— duck-typed: anything with ``max_attempts`` and ``delay(attempt)``)
-and/or a :attr:`ServiceSwitch.request_timeout_s` budget installed, the
-switch re-runs failed dispatches against replicas it has not tried yet,
-backing off between attempts, until the request succeeds, the attempts
-are exhausted, or the timeout budget runs out
-(:class:`~repro.core.errors.RequestTimeoutError`).  A health checker
+Failover (extension): a :attr:`ServiceSwitch.retry_policy` (capped
+exponential backoff, see :class:`repro.faults.retry.BackoffPolicy` —
+duck-typed: anything with ``max_attempts`` and ``delay(attempt)``) lets
+the loop re-run a failed attempt against replicas it has not tried yet,
+backing off in between; without one the switch makes one attempt.  A
+:attr:`ServiceSwitch.request_timeout_s` budget gives the request a
+deadline (:class:`~repro.core.errors.RequestTimeoutError`); each attempt
+then runs in an ``attempt:<node>`` child process raced against the
+remaining budget.  Without a budget the attempt runs inline, inside the
+request's own simulated process.  A health checker
 (:class:`repro.faults.health.SwitchHealthChecker`) can additionally
 :meth:`~ServiceSwitch.quarantine` nodes so dispatch never even tries a
-dead replica between watchdog reboots.  Both hooks default to off, in
-which case the serving path is exactly the pre-failover one.
+dead replica between watchdog reboots.
 """
 
 from __future__ import annotations
@@ -206,8 +208,8 @@ class ServiceSwitch:
         # listeners tap the per-request outcome stream.
         self.shedder: Optional[Any] = None
         self._outcome_listeners: List[Callable[[float, Optional[float], str], None]] = []
-        # Failover hooks (off by default — the plain serving path runs
-        # unchanged unless one of these is installed).
+        # Failover hooks: no policy means one attempt, no timeout no
+        # deadline.
         self.retry_policy: Optional[Any] = None
         self._request_timeout_s: Optional[float] = None
         self.quarantined: Set[str] = set()
@@ -320,7 +322,7 @@ class ServiceSwitch:
 
         Requests targeting a component of a partitionable service are
         restricted to that component's nodes.  ``exclude`` removes nodes
-        by name — the failover path uses it to avoid re-trying a replica
+        by name — the attempt loop uses it to avoid re-trying a replica
         that already failed this request.
         """
         candidates = self._healthy()
@@ -345,7 +347,17 @@ class ServiceSwitch:
         return choice
 
     def serve(self, request: Request) -> Generator[Event, Any, NodeResponse]:
-        """Full client-visible request path (simulated-process step)."""
+        """Full client-visible request path (simulated-process step).
+
+        After ingress and the shed check, each attempt pays the
+        dispatcher slot + classify CPU (the switch really does
+        re-dispatch) and picks a replica the request has not failed on
+        yet.  A failed attempt backs off per the retry policy before
+        the next one; when every live replica has been tried, the
+        exclusion set resets so watchdog-rebooted nodes get a chance.
+        A timed-out attempt is abandoned, not cancelled — the back-end
+        finishes the work like a real server whose client hung up.
+        """
         if self.home_node.torn_down:
             raise ServiceUnavailableError(f"switch of {self.service_name!r} is gone")
         started = self.sim.now
@@ -354,18 +366,17 @@ class ServiceSwitch:
         # ``owned``, which this switch must then close).  Spans only
         # read the clock — the timing model is untouched.
         tracer = tracer_of(self.sim)
-        lane = self._lane
-        root = dispatch = owned = None
+        root = segment = owned = None
         if tracer is not None:
             root = request.trace
             if root is None:
                 root = owned = tracer.start_span(
-                    "request", lane=lane, start=started, service=self.service_name
+                    "request", lane=self._lane, start=started, service=self.service_name
                 )
                 request = request.with_trace(root)
-            dispatch = tracer.start_span("dispatch", lane=lane, start=started, parent=root)
+            segment = tracer.start_span("dispatch", lane=self._lane, start=started, parent=root)
             if self.tenant is not None:
-                dispatch.annotate(tenant=self.tenant)
+                segment.annotate(tenant=self.tenant)
         # 1. Client -> switch home node.
         inbound = self.lan.transfer(
             request.client, self.home_node.host.nic, REQUEST_SIZE_MB,
@@ -376,53 +387,117 @@ class ServiceSwitch:
         # saturates, before the request consumes a dispatcher slot.
         if self.shedder is not None and self.shedder.should_shed(self):
             self.shedded += 1
-            self._refused("shed", dispatch, owned)
+            self._refused("shed", segment, owned)
             raise RequestSheddedError(
                 f"service {self.service_name!r} shed a request under load"
             )
-        # Failover path (extension): with a retry policy or a timeout
-        # budget installed, dispatch attempts run — and re-run — through
-        # the failover engine.  Neither installed: the plain path below.
-        if self.retry_policy is not None or self._request_timeout_s is not None:
-            return (yield from self._serve_with_failover(
-                request, started, lane, root, dispatch, owned
-            ))
-        # 2. Switch processing (serialised).
-        slot = self._dispatcher.request()
-        try:
-            yield slot
-            yield self.sim.timeout(
-                SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
-            )
+        policy = self.retry_policy
+        max_attempts = policy.max_attempts if policy is not None else 1
+        deadline = (
+            None if self._request_timeout_s is None
+            else started + self._request_timeout_s
+        )
+        tried: Set[str] = set()
+        failure: Optional[SODAError] = None
+        any_dispatched = False
+        attempt = 0
+        while True:
+            attempt += 1
+            # 2. Switch processing (serialised), once per attempt.
+            backend = None
+            slot = self._dispatcher.request()
             try:
-                backend = self.select(request)
-            except ServiceUnavailableError:
-                self._refused("failed", dispatch, owned)
-                raise
-        finally:
-            self._dispatcher.release(slot)
-        # 3. Forward to the back-end (loopback when co-located).
-        yield from self._forward(backend)
-        if dispatch is not None:
-            # The back-end's queue_wait segment opens at this same
-            # instant, so closing the dispatch segment here keeps the
-            # two contiguous.
-            dispatch.finish(self.sim.now).annotate(node=backend.name)
-        # 4. Back-end serves inside this process (no child process, so
-        # no bootstrap or completion heap entry per request); the
-        # response returns directly to the client.  A node failure —
-        # down, died while queued, or a successful exploit — raises here.
-        try:
-            response = yield from backend.serve(request)
-        except SODAError:
+                yield slot
+                yield self.sim.timeout(
+                    SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
+                )
+                try:
+                    backend = self.select(request, exclude=tried)
+                except ServiceUnavailableError as exc:
+                    failure = exc
+                    if tried:
+                        # Every replica failed this request once already;
+                        # a watchdog reboot may have revived one — widen
+                        # the net before writing the attempt off.
+                        tried.clear()
+                        try:
+                            backend = self.select(request)
+                        except ServiceUnavailableError as again:
+                            failure = again
+            finally:
+                self._dispatcher.release(slot)
+            if backend is not None:
+                if deadline is not None and deadline - self.sim.now <= 0:
+                    failure = self._timeout_failure()
+                    break
+                any_dispatched = True
+                if deadline is None:
+                    # 3-4. No budget to race: forward, then the back-end
+                    # serves inside this process.  Calling it here rather
+                    # than through _attempt keeps one generator fewer alive
+                    # (and resumed through) per request in service.
+                    yield from self._forward(backend, segment)
+                    try:
+                        response, error = (yield from backend.serve(request)), None
+                    except SODAError as exc:
+                        response, error = None, exc
+                else:
+                    proc = self.sim.process(
+                        self._attempt(backend, request, segment),
+                        name=f"attempt:{backend.name}",
+                    )
+                    yield self.sim.any_of(
+                        [proc, self.sim.timeout(deadline - self.sim.now)]
+                    )
+                    if proc.is_alive:
+                        # Budget exhausted mid-attempt; abandon it.
+                        failure = self._timeout_failure()
+                        break
+                    response, error = proc.value
+                if error is None:
+                    self._served(started, response, owned)
+                    return response
+                failure = error
+                tried.add(backend.name)
+            if attempt >= max_attempts:
+                break
+            # Back off before the next attempt, clamped to the budget.
+            self.failovers += 1
+            cache = self._obs_metrics()
+            if cache is not None:
+                cache.failover()
+            delay = policy.delay(attempt)
+            if deadline is not None:
+                remaining = deadline - self.sim.now
+                if remaining <= 0:
+                    failure = self._timeout_failure()
+                    break
+                if delay > remaining:
+                    delay = remaining
+            if segment is not None:
+                # The next attempt's segment runs from this failure
+                # through the backoff to its own forward.
+                if not segment.finished:  # no replica took this attempt
+                    segment.finish(self.sim.now, "failed")
+                segment = tracer.start_span(
+                    "redispatch", lane=self._lane, start=self.sim.now,
+                    parent=root, attempt=attempt + 1,
+                )
+            if delay > 0:
+                yield self.sim.timeout(delay)
+        if any_dispatched:
             self.rejected += 1
-            self._refused("failed", dispatch, owned)
-            raise
-        self._served(started, response, owned)
-        return response
+        self._refused("failed", segment, owned)
+        raise failure
 
-    def _forward(self, backend: VirtualServiceNode) -> Generator[Event, Any, None]:
-        """Forward a request to ``backend`` over the LAN and count it."""
+    def _forward(self, backend: VirtualServiceNode, segment) -> Generator[Event, Any, None]:
+        """Forward a request to ``backend`` over the LAN (loopback when
+        co-located) and count it.
+
+        The switch's open span ``segment`` closes when the forward
+        lands, the instant the back-end's ``queue_wait`` opens, unless
+        a timeout already closed it and abandoned this attempt.
+        """
         forward = self.lan.transfer(
             self.home_node.host.nic, backend.host.nic, REQUEST_SIZE_MB,
             label=self._fwd_label,
@@ -433,6 +508,23 @@ class ServiceSwitch:
         cache = self._obs_metrics()
         if cache is not None:
             cache.dispatched(backend.name)
+        if segment is not None and not segment.finished:
+            segment.finish(self.sim.now).annotate(node=backend.name)
+
+    def _attempt(
+        self, backend: VirtualServiceNode, request: Request, segment
+    ) -> Generator[Event, Any, tuple]:
+        """A budgeted attempt (the ``attempt:`` child process): forward and
+        serve; returns ``(response, exc)``, never raises a :class:`SODAError`.
+
+        Returning the error keeps an abandoned (timed-out) attempt from
+        failing a process nobody is left awaiting.
+        """
+        yield from self._forward(backend, segment)
+        try:
+            return (yield from backend.serve(request)), None
+        except SODAError as exc:
+            return None, exc
 
     def _outcome(self, outcome: str, latency_s: Optional[float]) -> None:
         """Hand one request outcome to the listeners, then the metrics."""
@@ -461,146 +553,12 @@ class ServiceSwitch:
         if root is not None and not root.finished:
             root.finish(now, outcome)
 
-    # -- failover engine (extension) -----------------------------------------
-    def _serve_with_failover(
-        self, request: Request, started: float, lane: str,
-        root, dispatch, owned,
-    ) -> Generator[Event, Any, NodeResponse]:
-        """Serving tail with retry, failover, and a timeout budget.
-
-        Runs after ingress and the shed check.  Each attempt pays the
-        dispatcher slot + classify CPU again (the switch really does
-        re-dispatch), picks a replica the request has not failed on yet,
-        and races the attempt against the remaining timeout budget.  A
-        failed attempt backs off per the retry policy before the next
-        one; when every live replica has been tried, the exclusion set
-        resets so watchdog-rebooted nodes get a chance.  A timed-out
-        attempt is abandoned, not cancelled — the back-end finishes the
-        work like a real server whose client hung up.
-        """
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            None if self._request_timeout_s is None
-            else started + self._request_timeout_s
-        )
-        tracer = tracer_of(self.sim)
-        cache = self._obs_metrics()
-        tried: Set[str] = set()
-        failure: Optional[SODAError] = None
-        any_dispatched = False
-        attempt = 0
-        while attempt < max_attempts:
-            attempt += 1
-            # Switch processing (serialised), once per attempt.
-            backend = None
-            slot = self._dispatcher.request()
-            try:
-                yield slot
-                yield self.sim.timeout(
-                    SWITCH_CPU_MCYCLES / self.home_node.host.cpu_mhz
-                )
-                try:
-                    backend = self.select(request, exclude=tried)
-                except ServiceUnavailableError as exc:
-                    failure = exc
-                    if tried:
-                        # Every replica failed this request once already;
-                        # a watchdog reboot may have revived one — widen
-                        # the net before writing the attempt off.
-                        tried.clear()
-                        try:
-                            backend = self.select(request)
-                            failure = None
-                        except ServiceUnavailableError as again:
-                            failure = again
-            finally:
-                self._dispatcher.release(slot)
-            if dispatch is not None and not dispatch.finished:
-                dispatch.finish(self.sim.now).annotate(
-                    node=backend.name if backend is not None else "-"
-                )
-            if backend is not None:
-                if deadline is not None and deadline - self.sim.now <= 0:
-                    failure = self._timeout_failure(cache)
-                    break
-                span = None
-                if tracer is not None:
-                    span = tracer.start_span(
-                        "attempt", lane=lane, start=self.sim.now, parent=root,
-                        node=backend.name, attempt=attempt,
-                    )
-                any_dispatched = True
-                proc = self.sim.process(
-                    self._attempt(backend, request), name=f"attempt:{backend.name}"
-                )
-                if deadline is None:
-                    response, exc = yield proc
-                else:
-                    guard = self.sim.timeout(deadline - self.sim.now)
-                    yield self.sim.any_of([proc, guard])
-                    if proc.is_alive:
-                        # Budget exhausted mid-attempt; abandon it.
-                        if span is not None:
-                            span.finish(self.sim.now, "timeout")
-                        failure = self._timeout_failure(cache)
-                        break
-                    response, exc = proc.value
-                if exc is None:
-                    if span is not None:
-                        span.finish(self.sim.now)
-                    self._served(started, response, owned)
-                    return response
-                failure = exc
-                tried.add(backend.name)
-                if span is not None:
-                    span.finish(self.sim.now, "failed")
-            if attempt >= max_attempts:
-                break
-            # Back off before the next attempt, clamped to the budget.
-            self.failovers += 1
-            if cache is not None:
-                cache.failover()
-            delay = policy.delay(attempt) if policy is not None else 0.0
-            if deadline is not None:
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    failure = self._timeout_failure(cache)
-                    break
-                if delay > remaining:
-                    delay = remaining
-            if delay > 0:
-                yield self.sim.timeout(delay)
-        if failure is None:  # pragma: no cover - defensive
-            failure = ServiceUnavailableError(
-                f"service {self.service_name!r} exhausted its attempts"
-            )
-        if any_dispatched:
-            self.rejected += 1
-        self._refused("failed", dispatch, owned)
-        raise failure
-
-    def _timeout_failure(self, cache) -> RequestTimeoutError:
+    def _timeout_failure(self) -> RequestTimeoutError:
         self.timeouts += 1
+        cache = self._obs_metrics()
         if cache is not None:
             cache.timeout()
         return RequestTimeoutError(
             f"service {self.service_name!r} request exceeded its "
             f"{self.request_timeout_s:g}s budget"
         )
-
-    def _attempt(
-        self, backend: VirtualServiceNode, request: Request
-    ) -> Generator[Event, Any, tuple]:
-        """One dispatch attempt; returns ``(response, exc)``, never raises.
-
-        Catching :class:`SODAError` inside the child process keeps an
-        abandoned (timed-out) attempt from failing a process nobody is
-        left awaiting.
-        """
-        yield from self._forward(backend)
-        try:
-            response = yield from backend.serve(request)
-        except SODAError as exc:
-            return None, exc
-        return response, None

@@ -13,6 +13,7 @@ receive no traffic until a probe succeeds again.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, List, Tuple
 
 from repro.core.node import VirtualServiceNode
@@ -38,10 +39,12 @@ class SwitchHealthChecker:
         period_s: float = 1.0,
         probe_timeout_s: float = 0.5,
     ):
-        if period_s <= 0:
-            raise ValueError(f"period must be positive, got {period_s}")
-        if probe_timeout_s <= 0:
-            raise ValueError(f"probe timeout must be positive, got {probe_timeout_s}")
+        if not (math.isfinite(period_s) and period_s > 0):
+            raise ValueError(f"period must be positive and finite, got {period_s}")
+        if not (math.isfinite(probe_timeout_s) and probe_timeout_s > 0):
+            raise ValueError(
+                f"probe timeout must be positive and finite, got {probe_timeout_s}"
+            )
         self.sim = sim
         self.switch = switch
         self.lan = lan

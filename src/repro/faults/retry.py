@@ -1,7 +1,7 @@
 """Capped exponential backoff for switch-side retries.
 
 A :class:`BackoffPolicy` is the duck-typed object the
-:class:`~repro.core.switch.ServiceSwitch` failover engine consults: it
+:class:`~repro.core.switch.ServiceSwitch` attempt loop consults: it
 needs only ``max_attempts`` and ``delay(attempt)``.  The policy lives
 here (not in core) so the core switch keeps zero imports from the fault
 layer — installing a policy is what opts a switch into retrying.

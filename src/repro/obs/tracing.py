@@ -283,7 +283,7 @@ class RequestTracer:
         return [s for s in self._spans if s.finished]
 
     def roots(self, status: Optional[str] = None) -> List[Span]:
-        """Root spans (one per traced request), optionally by status."""
+        """Every root span (requests, faults, ...), optionally by status."""
         return [
             s
             for s in self._spans
@@ -303,8 +303,17 @@ class RequestTracer:
         return kids
 
     def requests(self, status: Optional[str] = None) -> List[Tuple[Span, List[Span]]]:
-        """``(root, segments)`` pairs for every traced request."""
-        return [(root, self.children_of(root)) for root in self.roots(status)]
+        """``(root, segments)`` pairs for every traced request.
+
+        Only roots named ``request`` count: other roots (a ``fault:*``
+        span, a federation placement) are not requests and have no
+        segments to tile.
+        """
+        return [
+            (root, self.children_of(root))
+            for root in self.roots(status)
+            if root.name == "request"
+        ]
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -1,5 +1,7 @@
 """Tests for the reactive autoscaler."""
 
+import math
+
 import pytest
 
 from repro.core.autoscaler import AutoscalerConfig, ReactiveAutoscaler
@@ -35,6 +37,27 @@ def test_config_validation():
         AutoscalerConfig(target_response_s=1, scale_up_at=0.3, scale_down_at=0.5)
     with pytest.raises(ValueError):
         AutoscalerConfig(target_response_s=1, min_samples=0)
+
+
+@pytest.mark.parametrize("field", ["target_response_s", "check_period_s"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, bad):
+    params = {"target_response_s": 1.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        AutoscalerConfig(**params)
+
+
+def test_window_counts_samples_of_this_instant_at_long_horizons(testbed):
+    # Past 2**24 s, now + 1e-9 == now, so a window ending there would
+    # drop every sample recorded at the check instant itself.
+    _, record = create_service(testbed, name="web", n=1)
+    autoscaler = make_autoscaler(testbed)
+    testbed.sim.run(until=testbed.now + 1e8)
+    now = testbed.now
+    assert now + 1e-9 == now
+    for latency in (0.1, 0.2, 0.3):
+        record.switch.response_times.record(now, latency)
+    assert autoscaler._recent_mean_response(now - 10.0) == pytest.approx(0.2)
 
 
 def test_no_decisions_without_traffic(testbed):

@@ -1,5 +1,7 @@
 """Tests for crashed-node recovery (watchdog extension)."""
 
+import math
+
 import pytest
 
 from repro.core.node import Request
@@ -118,3 +120,10 @@ def test_watchdog_validation(testbed):
     watchdog = NodeWatchdog(testbed.sim, record)
     with pytest.raises(ValueError):
         testbed.run(watchdog.watch(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_watchdog_rejects_non_finite_poll(testbed, bad):
+    _, record = create_service(testbed, name="web", n=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        NodeWatchdog(testbed.sim, record, poll_s=bad)

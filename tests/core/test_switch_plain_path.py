@@ -1,14 +1,16 @@
-"""The switch's plain serving path: no retry policy, no timeout budget.
+"""The switch's inline serving path: no timeout budget.
 
 The back-end serves inside the request's own simulated process
-(``yield from node.serve(...)``), not in a child process of its own.
-These tests pin what that path costs the kernel per request and what a
-caller sees when the back-end fails.
+(``yield from node.serve(...)``), not in a child process of its own,
+whether or not a retry policy is installed.  These tests pin what that
+path costs the kernel per request and what a caller sees when the
+back-end fails.
 """
 
 import pytest
 
 from repro.core.node import ExploitSucceeded, Request, ServiceUnavailableError
+from repro.faults.retry import BackoffPolicy
 from repro.guestos.syscall import SyscallMix
 from tests.core.conftest import create_service
 
@@ -42,6 +44,33 @@ def test_one_request_kernel_event_budget(testbed):
         assert response.node_name == switch.nodes[0].name
     assert switch.dispatched == 3
     assert switch.rejected == 0
+
+
+def test_retry_only_switch_serves_inline_at_the_plain_event_cost(testbed, monkeypatch):
+    _, record = create_service(testbed, n=1)
+    switch = record.switch
+    client = testbed.add_client("client-1")
+    sim = testbed.sim
+    started = []
+    process = sim.process
+
+    def recording_process(generator, name=""):
+        started.append(name)
+        return process(generator, name=name)
+
+    monkeypatch.setattr(sim, "process", recording_process)
+
+    def events_per_dispatched_request():
+        events, dispatched = sim.events_scheduled, switch.dispatched
+        for _ in range(3):
+            testbed.run(switch.serve(make_request(client)))
+        return (sim.events_scheduled - events) / (switch.dispatched - dispatched)
+
+    plain = events_per_dispatched_request()
+    switch.retry_policy = BackoffPolicy()
+    assert events_per_dispatched_request() == plain == EVENTS_PER_REQUEST
+    assert switch.failovers == 0
+    assert started and not any(name.startswith("attempt:") for name in started)
 
 
 def test_backend_dying_while_request_queued_raises_to_caller(testbed):

@@ -68,3 +68,32 @@ def create_service(tb, name="web", image="web-content", n=2, sla=None):
         name=f"create:{name}",
     )
     return tb.master.get_service(name)
+
+
+def serve_through_queued_crash(tb, record, request):
+    """Serve one request that dies queued on one replica, then fails over.
+
+    Node A's worker is held so the request queues there; A crashes
+    while the request is queued ("died while queued"), and B — which
+    was quarantined at dispatch time and is restored mid-backoff —
+    serves the retry.  Needs a retry policy on the switch.
+    """
+    switch = record.switch
+    node_a, node_b = record.nodes
+    switch.quarantine(node_b)
+
+    def hold_then_crash():
+        slot = node_a.workers.request()
+        yield slot
+        yield tb.sim.timeout(0.1)
+        node_a.vm.crash(cause="test")
+        yield tb.sim.timeout(0.2)
+        node_a.workers.release(slot)
+
+    def restore_b():
+        yield tb.sim.timeout(0.5)
+        switch.unquarantine(node_b)
+
+    tb.spawn(hold_then_crash(), name="holder")
+    tb.spawn(restore_b(), name="restore")
+    return tb.run(switch.serve(request), name="req")

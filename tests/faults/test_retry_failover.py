@@ -1,15 +1,18 @@
 """Switch failover engine: retry, backoff, timeout budget, counters."""
 
+import math
+
 import pytest
 
 from repro.core.errors import RequestTimeoutError
 from repro.core.node import ServiceUnavailableError
 from repro.faults.chaos import run_chaos_scenario
+from repro.faults.health import SwitchHealthChecker
 from repro.faults.retry import BackoffPolicy
 from repro.workload.apps import web_request
 from repro.workload.clients import ClientPool
 
-from tests.faults.conftest import create_service
+from tests.faults.conftest import create_service, serve_through_queued_crash
 
 
 class TestBackoffPolicy:
@@ -66,36 +69,13 @@ class TestFailover:
         assert switch.timeouts == 0
 
     def test_fails_over_to_live_replica(self, spread_testbed):
-        """A request that dies on one replica is retried onto another.
-
-        Node A's worker is held so the request queues there; A crashes
-        while the request is queued ("died while queued"), and B — which
-        was quarantined at dispatch time and is restored mid-backoff —
-        serves the retry.
-        """
+        """A request that dies on one replica is retried onto another."""
         tb = spread_testbed
         record = create_service(tb, n=2)
         switch = record.switch
         switch.retry_policy = BackoffPolicy()  # 0.05, 0.1, 0.2 ...
-        node_a, node_b = record.nodes
-        switch.quarantine(node_b)
-
-        def hold_then_crash():
-            slot = node_a.workers.request()
-            yield slot
-            yield tb.sim.timeout(0.1)
-            node_a.vm.crash(cause="test")
-            yield tb.sim.timeout(0.2)
-            node_a.workers.release(slot)
-
-        def restore_b():
-            yield tb.sim.timeout(0.5)
-            switch.unquarantine(node_b)
-
-        tb.spawn(hold_then_crash(), name="holder")
-        tb.spawn(restore_b(), name="restore")
-        response = tb.run(switch.serve(_request(tb)), name="req")
-        assert response.node_name == node_b.name
+        response = serve_through_queued_crash(tb, record, _request(tb))
+        assert response.node_name == record.nodes[1].name
         assert switch.failovers >= 1
         assert switch.timeouts == 0
 
@@ -168,3 +148,11 @@ def test_timeout_and_chaos_inputs_rejected_where_they_enter(spread_testbed):
     ):
         with pytest.raises(ValueError, match=name):
             run_chaos_scenario(**{name: bad})
+
+
+@pytest.mark.parametrize("field", ["period_s", "probe_timeout_s"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_health_checker_rejects_non_finite(spread_testbed, field, bad):
+    switch = create_service(spread_testbed, n=1).switch
+    with pytest.raises(ValueError, match="positive and finite"):
+        SwitchHealthChecker(spread_testbed.sim, switch, spread_testbed.lan, **{field: bad})

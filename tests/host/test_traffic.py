@@ -1,5 +1,7 @@
 """Unit tests for the token bucket and per-IP traffic shaper."""
 
+import math
+
 import pytest
 
 from repro.host.traffic import TokenBucket, TrafficShaper
@@ -10,6 +12,14 @@ def test_bucket_validation():
         TokenBucket(rate_mbps=0, burst_mb=1)
     with pytest.raises(ValueError):
         TokenBucket(rate_mbps=10, burst_mb=0)
+
+
+@pytest.mark.parametrize("field", ["rate_mbps", "burst_mb"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bucket_rejects_non_finite(field, bad):
+    params = {"rate_mbps": 10.0, "burst_mb": 1.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        TokenBucket(**params)
 
 
 def test_bucket_starts_full():

@@ -132,13 +132,17 @@ def test_roots_children_and_requests():
     root.finish(3.0, "failed")
     other = tracer.start_span("request", lane="c", start=1.0)
     other.finish(2.0)
+    fault = tracer.start_span("fault:node_crash", lane="faults", start=1.5)
+    fault.finish(1.5)
 
-    assert tracer.roots() == [root, other]
+    assert tracer.roots() == [root, other, fault]
     assert tracer.roots(status="failed") == [root]
     assert tracer.children_of(root) == [early, late]  # start order
+    # A fault root is a root but not a request.
     requests = tracer.requests(status="ok")
     assert requests == [(other, [])]
-    assert len(tracer.finished_spans()) == 2
+    assert tracer.requests() == [(root, [early, late]), (other, [])]
+    assert len(tracer.finished_spans()) == 3
 
 
 def test_to_dict_is_json_ready():

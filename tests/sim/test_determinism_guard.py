@@ -205,11 +205,11 @@ def test_chaos_digest_unchanged_by_full_observability():
 
 # What the hub emits for chaos seed 0 (30 s) under tracing + metrics:
 # sha256 of the Prometheus exposition (146 lines) and of every span's
-# to_dict() (4389 spans).  A change to an instrumentation site that adds,
+# to_dict() (3669 spans).  A change to an instrumentation site that adds,
 # drops or reorders a series or a span — e.g. binding metric children
 # eagerly, which adds zero-valued series — changes them.
 CHAOS_HUB_PROMETHEUS_SHA = "17b5ff59be248e165e7583bc323a4d45f3061d34b843210aa6c2f09d98ef8d30"
-CHAOS_HUB_SPANS_SHA = "8834cdb1cff6cc691553722dddae17ba032e807c2837e60f552d815826d53885"
+CHAOS_HUB_SPANS_SHA = "11d7e3eca823e6bd19fd83c90b186abaec8e7403bd58bb7b867bc0c370fbcda5"
 
 
 def test_chaos_hub_exposition_and_spans_pinned():
@@ -219,7 +219,7 @@ def test_chaos_hub_exposition_and_spans_pinned():
     exposition = hub.prometheus()
     spans = [s.to_dict() for s in hub.tracer.spans()]
     assert len(exposition.splitlines()) == 146
-    assert len(spans) == 4389
+    assert len(spans) == 3669
     assert hashlib.sha256(exposition.encode()).hexdigest() == CHAOS_HUB_PROMETHEUS_SHA
     assert (
         hashlib.sha256(json.dumps(spans, sort_keys=True).encode()).hexdigest()
