@@ -1,6 +1,6 @@
 # Convenience targets for the SODA reproduction.
 
-.PHONY: install test lint chaos coverage bench bench-compare bench-pytest experiments report examples obs-demo market-demo scenarios all
+.PHONY: install test lint chaos coverage bench bench-compare bench-pytest experiments report examples examples-check obs-demo market-demo scenarios all
 
 install:
 	pip install -e . || python setup.py develop
@@ -35,16 +35,21 @@ experiments:
 report:
 	PYTHONPATH=src python -m repro.experiments.runner report --out EXPERIMENTS.md
 
+EXAMPLES := quickstart genome_service honeypot_isolation custom_switch_policy \
+	capacity_planning diurnal_autoscaler sla_tiers observability market_economics
+
 examples:
-	PYTHONPATH=src python examples/quickstart.py
-	PYTHONPATH=src python examples/genome_service.py
-	PYTHONPATH=src python examples/honeypot_isolation.py
-	PYTHONPATH=src python examples/custom_switch_policy.py
-	PYTHONPATH=src python examples/capacity_planning.py
-	PYTHONPATH=src python examples/diurnal_autoscaler.py
-	PYTHONPATH=src python examples/sla_tiers.py
-	PYTHONPATH=src python examples/observability.py
-	PYTHONPATH=src python examples/market_economics.py
+	@for name in $(EXAMPLES); do PYTHONPATH=src python examples/$$name.py || exit 1; done
+
+# Every example's stdout must match its recording in examples/expected/
+# byte for byte (fixed seeds, named RNG streams).  Re-record one with
+# `PYTHONPATH=src python examples/<name>.py > examples/expected/<name>.txt`.
+examples-check:
+	@out=$$(mktemp -d); for name in $(EXAMPLES); do \
+		PYTHONPATH=src python examples/$$name.py > $$out/$$name.txt || exit 1; \
+		diff -u examples/expected/$$name.txt $$out/$$name.txt || exit 1; \
+		echo "$$name: matches examples/expected/$$name.txt"; \
+	done; rm -rf $$out
 
 obs-demo:
 	PYTHONPATH=src python examples/observability.py obs-demo

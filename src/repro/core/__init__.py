@@ -52,7 +52,7 @@ from repro.core.master import SODAMaster
 from repro.core.monitoring import HUPMonitor, UtilisationSampler
 from repro.core.node import Request, VirtualServiceNode
 from repro.core.profiling import ResourceProfiler, ServiceLoadSpec
-from repro.core.recovery import NodeWatchdog, reboot_node
+from repro.core.recovery import NodeWatchdog
 from repro.core.policies import (
     LeastConnectionsPolicy,
     RandomPolicy,
@@ -80,7 +80,6 @@ __all__ = [
     "ResourceProfiler",
     "ServiceLoadSpec",
     "UtilisationSampler",
-    "reboot_node",
     "InvalidRequestError",
     "LeastConnectionsPolicy",
     "MachineConfig",

@@ -21,7 +21,6 @@ from repro.core.allocation import SLOWDOWN_INFLATION
 from repro.core.errors import PrimingError
 from repro.core.node import VirtualServiceNode
 from repro.core.requirements import MachineConfig
-from repro.guestos.boot import BootTimeModel
 from repro.guestos.proc import GUEST_ROOT_UID
 from repro.guestos.uml import UmlState, UserModeLinux
 from repro.host.bridge import BridgingModule, ProxyModule
@@ -48,7 +47,6 @@ class SODADaemon:
         lan: LAN,
         ip_pool: IPAddressPool,
         networking: Optional[Union[BridgingModule, ProxyModule]] = None,
-        boot_model: Optional[BootTimeModel] = None,
     ):
         if host.nic is None:
             raise ValueError(f"host {host.name!r} is not attached to the LAN")
@@ -59,7 +57,6 @@ class SODADaemon:
         self.ip_pool = ip_pool
         self.networking = networking or BridgingModule(host.name)
         self.shaper = TrafficShaper(host.name)
-        self.boot_model = boot_model or BootTimeModel()
         self.nodes_primed = 0
         self.download_seconds_total = 0.0
 
@@ -143,7 +140,7 @@ class SODADaemon:
             )
             self._obs_stage("rootfs_tailored")
             try:
-                yield from vm.boot(self.boot_model)
+                yield from vm.boot()
             except Exception as exc:
                 self._obs_stage("boot_failed")
                 raise PrimingError(f"{node_name}: boot failed: {exc}") from exc
@@ -185,6 +182,7 @@ class SODADaemon:
                 vulnerable=(image.app_kind == "honeypot"),
                 entrypoint=entrypoint,
                 component=component,
+                daemon=self,
             )
             self.nodes_primed += 1
             self._obs_stage("node_primed")
@@ -236,6 +234,44 @@ class SODADaemon:
         node.units = units
         node.workers.resize(units)
         self.shaper.install(node.source_ip, new_vector.bw_mbps)
+
+    # -- recovery -------------------------------------------------------------
+    def reboot_node(self, node: VirtualServiceNode) -> Generator[Event, Any, UserModeLinux]:
+        """Replace a node's guest with a freshly booted one, in place.
+
+        The slice reservation, endpoint and IP are unchanged: the old
+        guest's memory is released, the new guest boots from the same
+        tailored rootfs, the entrypoint respawns, and the bridge or
+        proxy entry is repointed at the fresh guest.  A node torn down
+        while its fresh guest booted gets no guest back.
+        """
+        if node.host is not self.host:
+            raise PrimingError(f"node {node.name} is not on host {self.host.name!r}")
+        old = node.vm
+        fresh = UserModeLinux(
+            self.sim,
+            name=old.name,
+            host=self.host,
+            rootfs=old.rootfs,
+            guest_mem_mb=old.guest_mem_mb,
+            syscall_model=old.syscalls,
+        )
+        if old.state in (UmlState.RUNNING, UmlState.CRASHED):
+            old.shutdown()
+        yield from fresh.boot()
+        if node.torn_down:
+            fresh.shutdown()
+            return fresh
+        fresh.ip = old.ip
+        fresh.processes.spawn(command=node.entrypoint, uid=GUEST_ROOT_UID, user="root")
+        if isinstance(self.networking, BridgingModule):
+            self.networking.unregister(fresh.ip)
+            self.networking.register(fresh.ip, fresh)
+        else:
+            self.networking.unregister(node.endpoint.port)
+            self.networking.register(fresh, port=node.endpoint.port)
+        node.vm = fresh
+        return fresh
 
     # -- teardown --------------------------------------------------------------
     def teardown_node(self, node: VirtualServiceNode) -> None:

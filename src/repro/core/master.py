@@ -19,9 +19,10 @@ updated by the SODA Master to reflect the changes."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.allocation import (
+    AllocationPlan,
     PlacementStrategy,
     SLOWDOWN_INFLATION,
     inflated_unit_vector,
@@ -40,6 +41,7 @@ from repro.core.policies import SwitchingPolicy
 from repro.core.requirements import ResourceRequirement
 from repro.core.service import ServiceRecord, ServiceState
 from repro.core.switch import ServiceSwitch
+from repro.image.image import ServiceImage
 from repro.image.repository import ImageRepository
 from repro.net.lan import LAN
 from repro.obs.metrics import registry_of
@@ -148,6 +150,9 @@ class SODAMaster:
         With an ``sla`` contract, admission additionally rejects
         objectives infeasible for the requested ``<n, M>``, and the
         created switch sheds load by service class under saturation.
+        A partitionable image gets one node per component instead of
+        full replication (§3.5 extension); the switch routes requests
+        by their ``component`` tag.
         """
         if service_name in self.services:
             raise InvalidRequestError(f"service {service_name!r} already hosted")
@@ -158,9 +163,7 @@ class SODAMaster:
                 from repro.sla.enforcement import check_admissible
 
                 check_admissible(sla, requirement)
-            plan = plan_allocation(
-                requirement, self.collect_availability(), self.strategy, self.inflation
-            )
+            plans = self._plan(requirement, repository.get(image_name))
         except AdmissionError:
             self._obs_admission("rejected")
             raise
@@ -175,43 +178,12 @@ class SODAMaster:
         )
         self.services[service_name] = record
         record.transition(ServiceState.PRIMING)
-        # Prime all selected hosts in parallel (§3.2: "coordinates the
-        # service priming process").
-        prime_procs = []
-        for index, assignment in enumerate(plan.assignments):
-            daemon = self.daemons[assignment.host_name]
-            prime_procs.append(
-                self.sim.process(
-                    _settled(daemon.prime(
-                        service_name=service_name,
-                        repository=repository,
-                        image_name=image_name,
-                        units=assignment.units,
-                        unit_vector=plan.unit_vector,
-                        machine=requirement.machine,
-                        node_index=index,
-                    )),
-                    name=f"prime:{service_name}:{assignment.host_name}",
-                )
-            )
-        # Wait for every daemon to settle (success or failure) so a
-        # partial failure can be rolled back without leaking in-flight
-        # priming work.
-        nodes: List[VirtualServiceNode] = []
-        errors: List[PrimingError] = []
-        for proc in prime_procs:
-            node, exc = yield proc
-            if exc is None:
-                nodes.append(node)
-            else:
-                errors.append(exc)
-        if errors:
-            for node in nodes:
-                self.daemons[node.host.name].teardown_node(node)
+        try:
+            record.nodes = yield from self._prime(record, repository, plans)
+        except PrimingError:
             record.transition(ServiceState.TORN_DOWN)
             del self.services[service_name]
-            raise errors[0]
-        record.nodes = nodes
+            raise
 
         # Service configuration file + switch (§3.4, Table 3).
         config = ServiceConfigFile(service_name)
@@ -235,7 +207,6 @@ class SODAMaster:
         record.primed_at = self.sim.now
         return record
 
-    # -- partitionable services (§3.5 extension) ------------------------------
     @staticmethod
     def _component_units(components, n: int) -> Dict[str, int]:
         """Split n machine instances across components by weight.
@@ -259,89 +230,80 @@ class SODAMaster:
             units[name] += 1
         return units
 
-    def create_partitioned_service(
-        self,
-        service_name: str,
-        asp: str,
-        repository: ImageRepository,
-        image_name: str,
-        requirement: ResourceRequirement,
-        policy: Optional[SwitchingPolicy] = None,
-    ) -> Generator[Event, Any, ServiceRecord]:
-        """Create a partitionable service: one node per component.
+    def _plan(
+        self, requirement: ResourceRequirement, image: ServiceImage
+    ) -> List[Tuple[str, AllocationPlan]]:
+        """``(component, plan)`` pairs placing ``requirement``'s n units.
 
-        Instead of full replication, each component of the image is
-        mapped to its own virtual service node, sized by component
-        weight; the switch routes requests by their ``component`` tag.
+        A fully replicated image has one plan (component ``""``).  A
+        partitionable image has one plan per component, sized by weight;
+        each sees the reservations the plans before it will make.
+        Raises :class:`AdmissionError` when any plan cannot be placed.
         """
-        if service_name in self.services:
-            raise InvalidRequestError(f"service {service_name!r} already hosted")
-        if image_name not in repository:
-            raise InvalidRequestError(f"image {image_name!r} not published")
-        image = repository.get(image_name)
-        if not image.is_partitionable:
-            raise InvalidRequestError(
-                f"image {image_name!r} declares no components; use create_service"
+        if image.is_partitionable:
+            units = self._component_units(image.components, requirement.n)
+        else:
+            units = {"": requirement.n}
+        available = dict(self.collect_availability())
+        plans = []
+        for component, n in units.items():
+            plan = plan_allocation(
+                requirement.with_n(n), list(available.items()),
+                self.strategy, self.inflation,
             )
-        component_units = self._component_units(image.components, requirement.n)
+            for assignment in plan.assignments:
+                host = assignment.host_name
+                available[host] = available[host] - plan.node_vector(assignment)
+            plans.append((component, plan))
+        return plans
 
-        record = ServiceRecord(
-            name=service_name,
-            asp=asp,
-            image_name=image_name,
-            requirement=requirement,
-            created_at=self.sim.now,
-        )
-        self.services[service_name] = record
-        record.transition(ServiceState.PRIMING)
-        nodes: List[VirtualServiceNode] = []
-        try:
-            for index, component in enumerate(image.components):
-                units = component_units[component.name]
-                sub_requirement = requirement.with_n(units)
-                plan = plan_allocation(
-                    sub_requirement, self.collect_availability(),
-                    self.strategy, self.inflation,
-                )
-                for assignment in plan.assignments:
-                    daemon = self.daemons[assignment.host_name]
-                    node = yield self.sim.process(
-                        daemon.prime(
-                            service_name=service_name,
+    def _prime(
+        self,
+        record: ServiceRecord,
+        repository: ImageRepository,
+        plans: List[Tuple[str, AllocationPlan]],
+    ) -> Generator[Event, Any, List[VirtualServiceNode]]:
+        """Prime every assignment of ``plans``, in parallel across hosts.
+
+        The one priming step of creation and growth (§3.2: the Master
+        "coordinates the service priming process").  New nodes are
+        numbered after the record's existing ones.  Every daemon settles
+        (success or failure) before a partial failure is rolled back, so
+        no in-flight priming work leaks: each node primed is torn down
+        and the first :class:`PrimingError` raised.
+        """
+        procs = []
+        for component, plan in plans:
+            for assignment in plan.assignments:
+                daemon = self.daemons[assignment.host_name]
+                procs.append(
+                    self.sim.process(
+                        _settled(daemon.prime(
+                            service_name=record.name,
                             repository=repository,
-                            image_name=image_name,
+                            image_name=record.image_name,
                             units=assignment.units,
                             unit_vector=plan.unit_vector,
-                            machine=requirement.machine,
-                            node_index=len(nodes),
-                            component=component.name,
-                        )
+                            machine=record.requirement.machine,
+                            node_index=len(record.nodes) + len(procs),
+                            component=component,
+                        )),
+                        name=f"prime:{record.name}:{assignment.host_name}",
                     )
-                    nodes.append(node)
-        except (PrimingError, AdmissionError):
+                )
+        nodes: List[VirtualServiceNode] = []
+        errors: List[PrimingError] = []
+        for proc in procs:
+            node, exc = yield proc
+            if exc is None:
+                nodes.append(node)
+            else:
+                errors.append(exc)
+        if errors:
             for node in nodes:
                 self.daemons[node.host.name].teardown_node(node)
-            record.transition(ServiceState.TORN_DOWN)
-            del self.services[service_name]
-            raise
-        record.nodes = nodes
-
-        config = ServiceConfigFile(service_name)
-        for node in record.nodes:
-            config.add_backend(node.endpoint.ip, node.endpoint.port, node.units)
-        record.switch = ServiceSwitch(
-            sim=self.sim,
-            service_name=service_name,
-            lan=self.lan,
-            nodes=record.nodes,
-            config=config,
-            policy=policy,
-            home_node=record.nodes[0],
-        )
-        record.switch.tenant = asp
-        record.transition(ServiceState.RUNNING)
-        record.primed_at = self.sim.now
-        return record
+            raise errors[0]
+        return nodes
 
     # -- lookup --------------------------------------------------------------
     def get_service(self, service_name: str) -> ServiceRecord:
@@ -404,12 +366,13 @@ class SODAMaster:
         if remaining == 0:
             return
         # Second option: add new virtual service node(s).
-        requirement = record.requirement.with_n(remaining)
         try:
             plan = plan_allocation(
-                requirement, self.collect_availability(), self.strategy, self.inflation
+                record.requirement.with_n(remaining), self.collect_availability(),
+                self.strategy, self.inflation,
             )
-        except AdmissionError as exc:
+            nodes = yield from self._prime(record, repository, [("", plan)])
+        except (AdmissionError, PrimingError) as exc:
             # Roll back the in-place growth so a failed resize leaves the
             # service exactly as it was.
             for node, original_units in reversed(grown):
@@ -417,23 +380,12 @@ class SODAMaster:
                 record.switch.config.set_capacity(
                     node.endpoint.ip, node.endpoint.port, original_units
                 )
+            if isinstance(exc, PrimingError):
+                raise
             raise AdmissionError(
                 f"resize of {record.name!r} cannot place {remaining} more units: {exc}"
             ) from exc
-        next_index = len(record.nodes)
-        for offset, assignment in enumerate(plan.assignments):
-            daemon = self.daemons[assignment.host_name]
-            node = yield self.sim.process(
-                daemon.prime(
-                    service_name=record.name,
-                    repository=repository,
-                    image_name=record.image_name,
-                    units=assignment.units,
-                    unit_vector=plan.unit_vector,
-                    machine=record.requirement.machine,
-                    node_index=next_index + offset,
-                )
-            )
+        for node in nodes:
             record.nodes.append(node)
             record.switch.add_node(node)
             record.switch.config.add_backend(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.errors import SODAError
 from repro.obs.metrics import registry_of
@@ -34,6 +34,9 @@ from repro.net.http import TCP_EFFICIENCY
 from repro.net.lan import LAN
 from repro.sim.kernel import Event, Simulator
 from repro.sim.monitor import Monitor
+
+if TYPE_CHECKING:  # the daemon module imports this one
+    from repro.core.daemon import SODADaemon
 
 __all__ = ["Request", "NodeResponse", "ServiceUnavailableError", "VirtualServiceNode"]
 
@@ -128,6 +131,7 @@ class VirtualServiceNode:
         native: bool = False,
         entrypoint: str = "",
         component: str = "",
+        daemon: Optional["SODADaemon"] = None,
     ):
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
@@ -157,6 +161,8 @@ class VirtualServiceNode:
         # Component of a partitionable service this node hosts ("" for
         # fully replicated services).
         self.component = component
+        # The SODA Daemon that primed this node; it also reboots it.
+        self.daemon = daemon
         self.workers = Resource(sim, capacity=units)
         self.inflight = 0
         self.served = 0

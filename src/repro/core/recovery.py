@@ -3,9 +3,10 @@
 Paper §3.5 is explicit that SODA "only helps to 'jail' the impact of
 fault or attack within one service instead of 'saving' the service" —
 recovery is the operator's job.  This module is that operator: a
-:class:`NodeWatchdog` polls a service's nodes and re-boots any crashed
-guest in place (same slice, same IP, fresh guest OS), restoring the
-service without another full priming round.  Isolation guarantees make
+:class:`NodeWatchdog` polls a service's nodes and has the SODA Daemon
+that primed a crashed guest re-boot it in place (same slice, same IP,
+fresh guest OS; :meth:`~repro.core.daemon.SODADaemon.reboot_node`),
+restoring the service without another full priming round.  Isolation guarantees make
 this safe: a crash never corrupts anything outside the guest.
 """
 
@@ -13,16 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
-from repro.core.node import VirtualServiceNode
 from repro.core.service import ServiceRecord
-from repro.guestos.proc import GUEST_ROOT_UID
-from repro.guestos.uml import UmlState, UserModeLinux
-from repro.host.bridge import BridgingModule
+from repro.guestos.uml import UmlState
 from repro.sim.kernel import Event, Simulator
 
-__all__ = ["reboot_node", "RebootRecord", "NodeWatchdog"]
+__all__ = ["RebootRecord", "NodeWatchdog"]
 
 
 @dataclass(frozen=True)
@@ -43,43 +41,6 @@ class RebootRecord:
         return self.restored_at - self.detected_at
 
 
-def reboot_node(
-    sim: Simulator,
-    node: VirtualServiceNode,
-    networking: Optional[Any] = None,
-) -> Generator[Event, Any, UserModeLinux]:
-    """Replace a node's guest with a freshly booted one, in place.
-
-    The slice reservation, endpoint and IP are unchanged; the old
-    guest's memory is released and the new guest boots from the same
-    tailored rootfs.  When ``networking`` is the host's bridging module,
-    its UML-IP mapping is repointed at the fresh guest.
-    """
-    old = node.vm
-    fresh = UserModeLinux(
-        sim,
-        name=old.name,
-        host=old.host,
-        rootfs=old.rootfs,
-        guest_mem_mb=old.guest_mem_mb,
-        syscall_model=old.syscalls,
-    )
-    if old.state in (UmlState.RUNNING, UmlState.CRASHED):
-        old.shutdown()
-    yield from fresh.boot()
-    fresh.ip = old.ip
-    if node.entrypoint:
-        fresh.processes.spawn(command=node.entrypoint, uid=GUEST_ROOT_UID, user="root")
-    if isinstance(networking, BridgingModule) and fresh.ip is not None:
-        try:
-            networking.unregister(fresh.ip)
-        except KeyError:
-            pass
-        networking.register(fresh.ip, fresh)
-    node.vm = fresh
-    return fresh
-
-
 class NodeWatchdog:
     """Polls a service's nodes; re-boots crashed guests."""
 
@@ -92,11 +53,6 @@ class NodeWatchdog:
         self.crashes_detected = 0
         self.reboots = 0
         self.history: List[RebootRecord] = []
-        self._networking_by_host = {}
-
-    def attach_networking(self, host_name: str, networking: Any) -> None:
-        """Let the watchdog repoint a host's bridge after reboots."""
-        self._networking_by_host[host_name] = networking
 
     def watch(self, duration_s: float) -> Generator[Event, Any, None]:
         """Poll for ``duration_s`` simulated seconds (a sim process)."""
@@ -110,10 +66,7 @@ class NodeWatchdog:
                 if node.vm.state is UmlState.CRASHED:
                     self.crashes_detected += 1
                     detected_at = self.sim.now
-                    yield from reboot_node(
-                        self.sim, node,
-                        networking=self._networking_by_host.get(node.host.name),
-                    )
+                    yield from node.daemon.reboot_node(node)
                     self.reboots += 1
                     self.history.append(
                         RebootRecord(

@@ -200,8 +200,6 @@ def run_chaos_scenario(
         switch.retry_policy = BackoffPolicy()
         switch.request_timeout_s = request_timeout_s
         watchdog = NodeWatchdog(tb.sim, record, poll_s=0.5)
-        for host_name, daemon in tb.daemons.items():
-            watchdog.attach_networking(host_name, daemon.networking)
         watchdogs[name] = watchdog
         tb.spawn(watchdog.watch(duration_s + TAIL_S), name=f"watchdog:{name}")
         checker = SwitchHealthChecker(

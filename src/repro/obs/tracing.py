@@ -307,13 +307,22 @@ class RequestTracer:
 
         Only roots named ``request`` count: other roots (a ``fault:*``
         span, a federation placement) are not requests and have no
-        segments to tile.
+        segments to tile.  Segments are :meth:`children_of` each root,
+        found through one pass over the spans.
         """
-        return [
-            (root, self.children_of(root))
-            for root in self.roots(status)
-            if root.name == "request"
-        ]
+        roots = []
+        children: Dict[Tuple[Any, Any], List[Span]] = {}
+        for s in self._spans:
+            if s.parent_id is not None:
+                children.setdefault((s.trace_id, s.parent_id), []).append(s)
+            elif s.name == "request" and (status is None or s.status == status):
+                roots.append(s)
+        pairs = []
+        for root in roots:
+            kids = children.get((root.trace_id, root.span_id), [])
+            kids.sort(key=lambda s: s.start)
+            pairs.append((root, kids))
+        return pairs
 
     def __len__(self) -> int:
         return len(self._spans)

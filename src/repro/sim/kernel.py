@@ -260,12 +260,6 @@ class AnyOf(_Condition):
         self.succeed(self._collect())
 
 
-class _ProcessDone(Event):
-    """Terminal event of a Process; fires with the generator's return value."""
-
-    __slots__ = ()
-
-
 class Process(Event):
     """A simulated activity driven by a Python generator.
 

@@ -67,16 +67,6 @@ class AttackCampaign:
         self.attacker = attacker
         self.siblings = siblings or []
 
-    def _reboot(self, node: VirtualServiceNode) -> Generator[Event, Any, None]:
-        """The honeypot operator restores the victim after each crash."""
-        from repro.core.recovery import reboot_node
-
-        yield from reboot_node(self.sim, node)
-        if not node.entrypoint:
-            # Nodes built outside the daemon path carry no entrypoint;
-            # the honeypot's victim server must come back regardless.
-            node.vm.processes.spawn(command="ghttpd-1.4", uid=0, user="root")
-
     def run(self, waves: int) -> Generator[Event, Any, AttackOutcome]:
         """Run ``waves`` exploit-crash-reboot cycles."""
         if waves < 1:
@@ -98,10 +88,11 @@ class AttackCampaign:
                 for sibling in self.siblings:
                     if sibling.vm.compromised:
                         outcome.sibling_compromises += 1  # pragma: no cover
-                # ...and crashes the guest.
+                # ...and crashes the guest; the honeypot operator has
+                # its daemon restore the victim.
                 node.vm.crash(cause="attacker rampage")
                 outcome.guest_crashes += 1
-                yield from self._reboot(node)
+                yield from node.daemon.reboot_node(node)
                 outcome.reboots += 1
             except ServiceUnavailableError:
                 # Victim still rebooting; try again shortly.

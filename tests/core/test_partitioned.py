@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core import MachineConfig, ResourceRequirement
-from repro.core.errors import InvalidRequestError
+from repro.core.auth import Credentials
+from repro.core.errors import AuthenticationError, InvalidRequestError
 from repro.core.node import Request, ServiceUnavailableError
 from repro.guestos.rootfs import RootFilesystem
 from repro.guestos.services import default_registry
 from repro.guestos.syscall import SyscallMix
 from repro.image.image import ServiceComponent, ServiceImage
+from repro.obs.metrics import MetricsRegistry
+from repro.sla import SLAContract
 
 
 def shop_image():
@@ -27,15 +30,18 @@ def shop_image():
     )
 
 
-def create_shop(tb, n=3):
+def create_shop(tb, n=3, sla=None):
+    """SODA_service_creation of the shop: the image makes it partitioned."""
     tb.repo.publish(shop_image())
     requirement = ResourceRequirement(n=n, machine=MachineConfig())
     tb.run(
-        tb.master.create_partitioned_service(
-            "shop", "acme", tb.repo, "shop", requirement
-        )
+        tb.agent.service_creation(tb.creds, "shop", tb.repo, "shop", requirement, sla=sla)
     )
     return tb.master.get_service("shop")
+
+
+def wait(sim, seconds):
+    yield sim.timeout(seconds)
 
 
 def component_request(client, component):
@@ -96,26 +102,63 @@ def test_crashed_component_unavailable_other_survives(testbed):
     assert response.elapsed > 0
 
 
-def test_partitioned_requires_component_image(testbed):
+def test_image_without_components_is_replicated(testbed):
     requirement = ResourceRequirement(n=2, machine=MachineConfig())
-    with pytest.raises(InvalidRequestError, match="no components"):
-        testbed.run(
-            testbed.master.create_partitioned_service(
-                "web2", "acme", testbed.repo, "web-content", requirement
-            )
+    testbed.run(
+        testbed.agent.service_creation(
+            testbed.creds, "web2", testbed.repo, "web-content", requirement
         )
+    )
+    record = testbed.master.get_service("web2")
+    assert [node.component for node in record.nodes] == [""]
+    assert record.nodes[0].vm.processes.find_by_command("httpd_19_5")
 
 
 def test_n_must_cover_components(testbed):
-    testbed.repo.publish(shop_image())
-    requirement = ResourceRequirement(n=1, machine=MachineConfig())
     with pytest.raises(InvalidRequestError, match="at least one"):
+        create_shop(testbed, n=1)
+    assert "shop" not in testbed.master.services
+    assert testbed.agent.ledger.n_open == 0
+
+
+def test_component_plans_see_earlier_reservations(testbed):
+    """Seattle fits 3 units, tacoma 1.  n=4 gives frontend 2 and database
+    2: frontend fills 2 of seattle's units, so the database plan must
+    put one unit on seattle and one on tacoma, not both on seattle."""
+    record = create_shop(testbed, n=4)
+    placed = sorted((n.component, n.host.name, n.units) for n in record.nodes)
+    assert placed == [
+        ("database", "seattle", 1),
+        ("database", "tacoma", 1),
+        ("frontend", "seattle", 2),
+    ]
+    assert [n.name for n in record.nodes] == [
+        "shop@seattle#0", "shop@seattle#1", "shop@tacoma#2"
+    ]
+
+
+def test_partitioned_service_is_billed_and_counted(testbed):
+    """Partitioned creation goes through the Agent: billing, admission
+    counter, SLA shedder, and authentication all apply."""
+    registry = MetricsRegistry()
+    testbed.sim.metrics = registry
+    record = create_shop(testbed, n=3, sla=SLAContract.silver(p95_s=2.0))
+    assert sorted(n.component for n in record.nodes) == ["database", "frontend"]
+    assert testbed.agent.ledger.n_open == 1
+    testbed.run(wait(testbed.sim, 100.0))
+    assert testbed.agent.invoice(testbed.creds) > 0.0
+    admissions = registry.get("soda_master_admissions_total")
+    assert {labels: child.value for labels, child in admissions.samples()} == {
+        ("admitted",): 1.0
+    }
+    assert record.switch.shedder is not None
+    with pytest.raises(AuthenticationError):
         testbed.run(
-            testbed.master.create_partitioned_service(
-                "shop", "acme", testbed.repo, "shop", requirement
+            testbed.agent.service_creation(
+                Credentials("acme", "wrong"), "shop2", testbed.repo, "shop",
+                ResourceRequirement(n=2, machine=MachineConfig()),
             )
         )
-    assert "shop" not in testbed.master.services
 
 
 def test_partitioned_teardown_releases_all(testbed):

@@ -6,6 +6,7 @@ from repro.core.errors import (
     AdmissionError,
     AuthenticationError,
     InvalidRequestError,
+    PrimingError,
     ServiceNotFoundError,
 )
 from repro.core.auth import Credentials
@@ -92,6 +93,33 @@ def test_resize_beyond_capacity_fails(testbed):
     # Service still running at its old size.
     assert record.is_running
     assert record.total_units >= 1
+
+
+def test_grow_failing_in_priming_restores_the_service(testbed):
+    """n 1 -> 4 grows seattle's node in place to 3 units, then spills one
+    onto tacoma, whose IP pool is exhausted: the failed resize must undo
+    the in-place growth, leaving units, config file and requirement."""
+    _, record = create_service(testbed, n=1)
+    node = record.nodes[0]
+    config_before = record.switch.config.render()
+    reserved_before = node.host.reservations.reserved
+    tacoma_pool = testbed.daemons["tacoma"].ip_pool
+    taken = [tacoma_pool.allocate() for _ in range(tacoma_pool.size)]
+    with pytest.raises(PrimingError, match="tacoma"):
+        resize(testbed, "web", 4)
+    assert record.is_running
+    assert record.nodes == [node]
+    assert node.units == record.total_units == record.requirement.n == 1
+    assert node.workers.capacity == 1
+    assert record.switch.config.render() == config_before
+    assert node.host.reservations.reserved.cpu_mhz == pytest.approx(
+        reserved_before.cpu_mhz
+    )
+    assert testbed.hosts["tacoma"].reservations.n_live == 0
+    # The service grows again once tacoma has an address to give.
+    tacoma_pool.release(taken[0])
+    resize(testbed, "web", 4)
+    assert record.total_units == record.requirement.n == 4
 
 
 def test_resize_validation(testbed):

@@ -28,8 +28,6 @@ def _clients(tb, n=2):
 
 def _watch(tb, record, duration_s, poll_s=0.25):
     watchdog = NodeWatchdog(tb.sim, record, poll_s=poll_s)
-    for host_name, daemon in tb.daemons.items():
-        watchdog.attach_networking(host_name, daemon.networking)
     tb.spawn(watchdog.watch(duration_s), name="watchdog")
     return watchdog
 

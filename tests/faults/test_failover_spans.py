@@ -55,6 +55,21 @@ def test_every_served_chaos_request_tiles(chaos_hub):
     assert retried > 0  # the campaign really did make the switch retry
 
 
+@pytest.mark.parametrize("status", [None, "ok", "shed"])
+def test_requests_index_matches_children_of_each_root(chaos_hub, status):
+    """``requests()`` indexes children in one pass; it must return what
+    ``children_of`` gives root by root, in the same (start, creation)
+    order."""
+    tracer = chaos_hub[0].tracer
+    expected = [
+        (root, tracer.children_of(root))
+        for root in tracer.roots(status)
+        if root.name == "request"
+    ]
+    assert expected
+    assert tracer.requests(status) == expected
+
+
 @pytest.mark.parametrize("timeout_s", [None, 5.0])
 def test_retried_request_tiles_inline_and_under_a_budget(spread_testbed, timeout_s):
     """A request that dies queued on one replica and is served by another

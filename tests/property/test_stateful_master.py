@@ -1,9 +1,12 @@
 """Stateful property test: the SODA Master under random operation mixes.
 
-Hypothesis drives random sequences of service creations, resizings and
-teardowns against the paper testbed; after every step the platform
+Hypothesis drives random sequences of service creations (replicated
+and partitionable), resizings (some failing in priming), teardowns and
+crash-reboots against the paper testbed; after every step the platform
 invariants must hold (reservation books balanced, IP pools consistent,
-billing open for exactly the hosted services, capacity never exceeded).
+every node's bridge entry on its guest, billing open for exactly the
+hosted services, capacity never exceeded, ``<n, M>`` matching the units
+hosted).
 """
 
 from hypothesis import settings
@@ -18,8 +21,10 @@ from hypothesis import strategies as st
 
 from repro.core import MachineConfig, ResourceRequirement, build_paper_testbed
 from repro.core.auth import Credentials
-from repro.core.errors import SODAError
+from repro.core.errors import PrimingError, SODAError
+from repro.host.bridge import BridgingModule
 from repro.image.profiles import paper_profiles
+from tests.core.test_partitioned import shop_image
 
 
 class MasterMachine(RuleBasedStateMachine):
@@ -34,12 +39,16 @@ class MasterMachine(RuleBasedStateMachine):
         repo = self.tb.add_repository()
         for image in paper_profiles().values():
             repo.publish(image)
+        repo.publish(shop_image())  # partitionable: frontend + database
         self.repo = repo
         self.tb.agent.register_asp("acme", "supersecret")
         self.creds = Credentials("acme", "supersecret")
 
     # -- operations ---------------------------------------------------------
-    @rule(n=st.integers(min_value=1, max_value=3), image=st.sampled_from(["web-content", "honeypot"]))
+    @rule(
+        n=st.integers(min_value=1, max_value=3),
+        image=st.sampled_from(["web-content", "honeypot", "shop"]),
+    )
     def create(self, n, image):
         name = f"svc-{self.counter}"
         self.counter += 1
@@ -62,6 +71,28 @@ class MasterMachine(RuleBasedStateMachine):
             return
 
     @precondition(lambda self: self.live)
+    @rule(n=st.integers(min_value=2, max_value=4))
+    def resize_fails_in_priming(self, n):
+        """With every IP pool exhausted, a grow that needs a new node
+        fails in priming and must leave the service as it was."""
+        name = sorted(self.live)[0]
+        record = self.tb.master.get_service(name)
+        units_before = [(node.name, node.units) for node in record.nodes]
+        hogged = []
+        for daemon in self.tb.daemons.values():
+            pool = daemon.ip_pool
+            hogged.extend((pool, pool.allocate()) for _ in range(pool.n_free))
+        try:
+            self.tb.run(self.tb.agent.service_resizing(self.creds, name, self.repo, n))
+        except PrimingError:
+            assert [(node.name, node.units) for node in record.nodes] == units_before
+        except SODAError:
+            pass
+        finally:
+            for pool, address in hogged:
+                pool.release(address)
+
+    @precondition(lambda self: self.live)
     @rule()
     def teardown_service(self):
         # NB: not named ``teardown`` — that is RuleBasedStateMachine's
@@ -73,14 +104,12 @@ class MasterMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule()
     def crash_and_recover(self):
-        from repro.core.recovery import reboot_node
-
         name = sorted(self.live)[0]
         record = self.tb.master.get_service(name)
         node = record.nodes[0]
         if node.vm.is_running:
             node.vm.crash(cause="chaos")
-            self.tb.run(reboot_node(self.tb.sim, node))
+            self.tb.run(node.daemon.reboot_node(node))
 
     # -- invariants -------------------------------------------------------------
     @invariant()
@@ -117,6 +146,20 @@ class MasterMachine(RuleBasedStateMachine):
             assert daemon.networking.n_nodes == len(node_ips)
 
     @invariant()
+    def networking_resolves_to_each_guest(self):
+        if not hasattr(self, "tb"):
+            return
+        for record in self.tb.master.services.values():
+            for node in record.nodes:
+                networking = self.tb.daemons[node.host.name].networking
+                key = (
+                    node.source_ip
+                    if isinstance(networking, BridgingModule)
+                    else node.endpoint.port
+                )
+                assert networking.resolve(key) is node.vm
+
+    @invariant()
     def services_stay_serviceable(self):
         if not hasattr(self, "tb"):
             return
@@ -124,6 +167,7 @@ class MasterMachine(RuleBasedStateMachine):
             assert record.is_running
             assert record.switch is not None
             assert record.switch.config.total_capacity == record.total_units
+            assert record.requirement.n == record.total_units
 
 
 TestMasterStateful = MasterMachine.TestCase
