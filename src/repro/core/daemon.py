@@ -31,7 +31,7 @@ from repro.image.repository import ImageRepository, UnknownImage
 from repro.net.http import HttpModel
 from repro.net.ip import IPAddressPool, IPPoolExhausted
 from repro.net.lan import LAN
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import DAEMON_PRIMING, registry_of
 from repro.sim.kernel import Event, Simulator
 
 __all__ = ["SODADaemon"]
@@ -69,11 +69,7 @@ class SODADaemon:
         """Count one priming stage reached (observes, never perturbs)."""
         registry = registry_of(self.sim)
         if registry is not None:
-            registry.counter(
-                "soda_daemon_priming_total",
-                "Service-priming stages reached, by host.",
-                ("host", "stage"),
-            ).inc(host=self.host.name, stage=stage)
+            registry.series[DAEMON_PRIMING, self.host.name, stage].inc()
 
     # -- priming ------------------------------------------------------------
     def prime(

@@ -44,7 +44,7 @@ from repro.core.switch import ServiceSwitch
 from repro.image.image import ServiceImage
 from repro.image.repository import ImageRepository
 from repro.net.lan import LAN
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import MASTER_ADMISSIONS, registry_of
 from repro.sim.kernel import Event, Simulator
 
 if TYPE_CHECKING:  # imported lazily at call sites to keep core -> sla acyclic
@@ -97,11 +97,7 @@ class SODAMaster:
         """Count one admission decision (observes, never perturbs)."""
         registry = registry_of(self.sim)
         if registry is not None:
-            registry.counter(
-                "soda_master_admissions_total",
-                "Service admission decisions by the SODA Master.",
-                ("outcome",),
-            ).inc(outcome=outcome)
+            registry.series[MASTER_ADMISSIONS, outcome].inc()
 
     # -- availability -------------------------------------------------------
     def collect_availability(self):
@@ -319,11 +315,20 @@ class SODAMaster:
         repository: ImageRepository,
         n_new: int,
     ) -> Generator[Event, Any, ServiceRecord]:
-        """Apply ``<n_new, M>``: adjust nodes in place, add, or remove."""
+        """Apply ``<n_new, M>``: adjust nodes in place, add, or remove.
+
+        A partitioned service is not resizable: growth and shrinkage
+        are per replica, not per component.
+        """
         record = self.get_service(service_name)
         if not record.is_running:
             raise InvalidRequestError(
                 f"service {service_name!r} is {record.state.value}, not running"
+            )
+        if any(node.component for node in record.nodes):
+            raise InvalidRequestError(
+                f"service {service_name!r} is partitioned into components "
+                "and cannot be resized"
             )
         if n_new < 1:
             raise InvalidRequestError(f"n_new must be >= 1, got {n_new}")

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.core.master import SODAMaster
 from repro.core.service import ServiceRecord
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import HOST_CPU_RESERVED, registry_of
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import TimeWeightedMonitor
 
@@ -177,20 +177,11 @@ class UtilisationSampler:
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
             registry = registry_of(self.sim)
-            gauge = (
-                registry.gauge(
-                    "soda_host_cpu_reserved_ratio",
-                    "Reserved CPU fraction per HUP host (sampled).",
-                    ("host",),
-                )
-                if registry is not None
-                else None
-            )
             for name, daemon in self.master.daemons.items():
                 utilisation = daemon.host.reservations.utilisation()["cpu"]
                 self.cpu[name].set(self.sim.now, utilisation)
-                if gauge is not None:
-                    gauge.set(utilisation, host=name)
+                if registry is not None:
+                    registry.series[HOST_CPU_RESERVED, name].set(utilisation)
             yield self.sim.timeout(self.period_s)
 
     def mean_cpu(self, host_name: str, start: float, end: float) -> float:

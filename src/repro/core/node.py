@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.errors import SODAError
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import NODE_FAILED, NODE_INFLIGHT, NODE_SERVED, registry_of
 from repro.obs.tracing import tracer_of
 from repro.guestos.syscall import SyscallMix
 from repro.guestos.uml import UML_NETWORK_EFFICIENCY, UmlState, UserModeLinux
@@ -170,36 +170,6 @@ class VirtualServiceNode:
         self.response_times = Monitor(f"{name}:service")
         self._resp_label = f"{name}:resp"  # response flows' LAN label
         self.torn_down = False
-        # Observability: metric children bound lazily against the
-        # registry attached to the simulator (rebound if it changes).
-        self._obs_cache: Optional[tuple] = None
-
-    # -- observability (observes, never perturbs) -----------------------------
-    def _obs_metrics(self) -> Optional[tuple]:
-        """(inflight gauge child, served child, failed child) or None."""
-        registry = registry_of(self.sim)
-        if registry is None:
-            return None
-        if self._obs_cache is None or self._obs_cache[0] is not registry:
-            self._obs_cache = (
-                registry,
-                registry.gauge(
-                    "soda_node_inflight",
-                    "Requests currently inside each virtual service node.",
-                    ("node",),
-                ).labels(node=self.name),
-                registry.counter(
-                    "soda_node_served_total",
-                    "Requests served to completion by each node.",
-                    ("node",),
-                ).labels(node=self.name),
-                registry.counter(
-                    "soda_node_failed_total",
-                    "Requests failed at each node (down or died while queued).",
-                    ("node",),
-                ).labels(node=self.name),
-            )
-        return self._obs_cache
 
     @property
     def host(self):
@@ -234,34 +204,42 @@ class VirtualServiceNode:
         vulnerable service (the node is compromised but NOT crashed —
         the attacker decides what to do with its shell).
         """
-        obs = self._obs_metrics()
+        registry = registry_of(self.sim)
+        if registry is not None:
+            # All three bound on the node's first request, so its
+            # exposition shows a zero failed count rather than none.
+            inflight = registry.series[NODE_INFLIGHT, self.name]
+            served = registry.series[NODE_SERVED, self.name]
+            failed = registry.series[NODE_FAILED, self.name]
         if not self.is_available:
             self.failed += 1
-            if obs is not None:
-                obs[3].inc()
+            if registry is not None:
+                failed.inc()
             raise ServiceUnavailableError(f"node {self.name} is not running")
         started = self.sim.now
         # Observability: the node contributes the queue_wait, cpu_service
         # and tx segments of the request's trace, each starting exactly
         # where the previous one ended so the segments tile the request.
+        # A segment opens only while the root is open: after a timeout
+        # closed it, this abandoned attempt still runs but adds no span.
         tracer = tracer_of(self.sim)
         root = request.trace if tracer is not None else None
         queue_span = cpu_span = tx_span = None
-        if root is not None:
+        if root is not None and not root.finished:
             queue_span = tracer.start_span(
                 "queue_wait", lane=self.name, start=started, parent=root
             )
         self.inflight += 1
-        if obs is not None:
-            obs[1].inc()
+        if registry is not None:
+            inflight.inc()
         slot = self.workers.request()
         try:
             yield slot
             if not self.is_available:
                 # Crashed while queued.
                 self.failed += 1
-                if obs is not None:
-                    obs[3].inc()
+                if registry is not None:
+                    failed.inc()
                 if queue_span is not None:
                     queue_span.finish(self.sim.now, "failed")
                 raise ServiceUnavailableError(f"node {self.name} died while queued")
@@ -274,9 +252,10 @@ class VirtualServiceNode:
                 raise ExploitSucceeded(self)
             if queue_span is not None:
                 queue_span.finish(self.sim.now)
-                cpu_span = tracer.start_span(
-                    "cpu_service", lane=self.name, start=self.sim.now, parent=root
-                )
+                if not root.finished:
+                    cpu_span = tracer.start_span(
+                        "cpu_service", lane=self.name, start=self.sim.now, parent=root
+                    )
             service_time = self.vm.syscalls.mix_time_s(
                 request.mix, self.worker_mhz, in_uml=not self.native
             )
@@ -287,9 +266,10 @@ class VirtualServiceNode:
             yield self.sim.timeout(service_time)
             if cpu_span is not None:
                 cpu_span.finish(self.sim.now)
-                tx_span = tracer.start_span(
-                    "tx", lane=self.name, start=self.sim.now, parent=root
-                )
+                if not root.finished:
+                    tx_span = tracer.start_span(
+                        "tx", lane=self.name, start=self.sim.now, parent=root
+                    )
             # Response body: node's host NIC -> client, shaped per the
             # guest's source IP.  A UML guest additionally cannot drive
             # the wire at full rate (§3.2's network-transmission
@@ -315,8 +295,8 @@ class VirtualServiceNode:
             if tx_span is not None:
                 tx_span.finish(self.sim.now)
             self.served += 1
-            if obs is not None:
-                obs[2].inc()
+            if registry is not None:
+                served.inc()
             response = NodeResponse(
                 node_name=self.name,
                 started_at=started,
@@ -328,8 +308,8 @@ class VirtualServiceNode:
             return response
         finally:
             self.inflight -= 1
-            if obs is not None:
-                obs[1].dec()
+            if registry is not None:
+                inflight.dec()
             self.workers.release(slot)
 
     # -- lifecycle ------------------------------------------------------------

@@ -57,7 +57,15 @@ from repro.core.node import (
     ServiceUnavailableError,
     VirtualServiceNode,
 )
-from repro.obs.metrics import MetricsRegistry, registry_of
+from repro.obs.metrics import (
+    SWITCH_DISPATCH,
+    SWITCH_FAILOVERS,
+    SWITCH_REQUESTS,
+    SWITCH_RESPONSE,
+    SWITCH_TIMEOUTS,
+    TENANT_REQUESTS,
+    registry_of,
+)
 from repro.obs.tracing import tracer_of
 from repro.core.policies import SwitchingPolicy, WeightedRoundRobinPolicy
 from repro.net.http import REQUEST_SIZE_MB
@@ -71,102 +79,6 @@ __all__ = ["ServiceSwitch"]
 # CPU work to accept, parse and dispatch one request at the switch,
 # megacycles (a user-space L7 dispatcher).
 SWITCH_CPU_MCYCLES = 0.6
-
-
-class _SwitchMetrics:
-    """One switch's metric families in one registry, children bound lazily.
-
-    Each child is bound through the family's ``labels()`` the first time
-    the switch touches it — the moment a family-level ``inc(**labels)``
-    would have created it — so the exposition is unchanged, and every
-    later request pays a dict lookup instead of label validation.
-    """
-
-    __slots__ = (
-        "registry", "service", "_requests", "_latency", "_dispatch",
-        "_failovers", "_timeouts", "_tenant_requests",
-        "_by_outcome", "_latency_child", "_by_node", "_failover_child",
-        "_timeout_child", "_by_tenant_outcome",
-    )
-
-    def __init__(self, registry: MetricsRegistry, service: str):
-        self.registry = registry
-        self.service = service
-        self._requests = registry.counter(
-            "soda_switch_requests_total",
-            "Requests seen by a service switch, by outcome.",
-            ("service", "outcome"),
-        )
-        self._latency = registry.histogram(
-            "soda_switch_response_seconds",
-            "Client-visible response time through the switch.",
-            ("service",),
-        )
-        self._dispatch = registry.counter(
-            "soda_switch_dispatch_total",
-            "Requests dispatched to each back-end node.",
-            ("service", "node"),
-        )
-        self._failovers = registry.counter(
-            "soda_switch_failovers_total",
-            "Dispatch attempts retried on another replica.",
-            ("service",),
-        )
-        self._timeouts = registry.counter(
-            "soda_switch_timeouts_total",
-            "Requests that exhausted their timeout budget.",
-            ("service",),
-        )
-        self._tenant_requests = registry.counter(
-            "soda_tenant_requests_total",
-            "Requests by owning tenant and outcome (market extension).",
-            ("tenant", "service", "outcome"),
-        )
-        self._by_outcome: Dict[str, Any] = {}
-        self._latency_child: Any = None
-        self._by_node: Dict[str, Any] = {}
-        self._failover_child: Any = None
-        self._timeout_child: Any = None
-        self._by_tenant_outcome: Dict[tuple, Any] = {}
-
-    def outcome(self, outcome: str, latency_s: Optional[float], tenant: Optional[str]) -> None:
-        child = self._by_outcome.get(outcome)
-        if child is None:
-            child = self._by_outcome[outcome] = self._requests.labels(
-                service=self.service, outcome=outcome
-            )
-        child.inc()
-        if latency_s is not None:
-            child = self._latency_child
-            if child is None:
-                child = self._latency_child = self._latency.labels(service=self.service)
-            child.observe(latency_s)
-        if tenant is not None:
-            key = (tenant, outcome)
-            child = self._by_tenant_outcome.get(key)
-            if child is None:
-                child = self._by_tenant_outcome[key] = self._tenant_requests.labels(
-                    tenant=tenant, service=self.service, outcome=outcome
-                )
-            child.inc()
-
-    def dispatched(self, node: str) -> None:
-        child = self._by_node.get(node)
-        if child is None:
-            child = self._by_node[node] = self._dispatch.labels(
-                service=self.service, node=node
-            )
-        child.inc()
-
-    def failover(self) -> None:
-        if self._failover_child is None:
-            self._failover_child = self._failovers.labels(service=self.service)
-        self._failover_child.inc()
-
-    def timeout(self) -> None:
-        if self._timeout_child is None:
-            self._timeout_child = self._timeouts.labels(service=self.service)
-        self._timeout_child.inc()
 
 
 class ServiceSwitch:
@@ -222,20 +134,6 @@ class ServiceSwitch:
         # SODA Master so per-request metrics and spans carry a tenant
         # dimension for isolation accounting.
         self.tenant: Optional[str] = None
-        # Observability: metric children bound against whichever registry
-        # is attached to the simulator (rebound if it changes).
-        self._obs_cache: Optional[_SwitchMetrics] = None
-
-    # -- observability (observes, never perturbs) ----------------------------
-    def _obs_metrics(self) -> Optional[_SwitchMetrics]:
-        """This switch's metric children for the attached registry, or None."""
-        registry = registry_of(self.sim)
-        if registry is None:
-            return None
-        cache = self._obs_cache
-        if cache is None or cache.registry is not registry:
-            cache = self._obs_cache = _SwitchMetrics(registry, self.service_name)
-        return cache
 
     # -- SLA hooks (extension) ----------------------------------------------
     def add_outcome_listener(
@@ -463,9 +361,9 @@ class ServiceSwitch:
                 break
             # Back off before the next attempt, clamped to the budget.
             self.failovers += 1
-            cache = self._obs_metrics()
-            if cache is not None:
-                cache.failover()
+            registry = registry_of(self.sim)
+            if registry is not None:
+                registry.series[SWITCH_FAILOVERS, self.service_name].inc()
             delay = policy.delay(attempt)
             if deadline is not None:
                 remaining = deadline - self.sim.now
@@ -505,9 +403,9 @@ class ServiceSwitch:
         yield forward.done
         self.dispatched += 1
         self.per_node_count[backend.name] = self.per_node_count.get(backend.name, 0) + 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.dispatched(backend.name)
+        registry = registry_of(self.sim)
+        if registry is not None:
+            registry.series[SWITCH_DISPATCH, self.service_name, backend.name].inc()
         if segment is not None and not segment.finished:
             segment.finish(self.sim.now).annotate(node=backend.name)
 
@@ -530,9 +428,14 @@ class ServiceSwitch:
         """Hand one request outcome to the listeners, then the metrics."""
         for listener in self._outcome_listeners:
             listener(self.sim.now, latency_s, outcome)
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.outcome(outcome, latency_s, self.tenant)
+        registry = registry_of(self.sim)
+        if registry is not None:
+            service = self.service_name
+            registry.series[SWITCH_REQUESTS, service, outcome].inc()
+            if latency_s is not None:
+                registry.series[SWITCH_RESPONSE, service].observe(latency_s)
+            if self.tenant is not None:
+                registry.series[TENANT_REQUESTS, self.tenant, service, outcome].inc()
 
     def _served(self, started: float, response: NodeResponse, root) -> None:
         """Account a served request: listeners, metrics, then its root span."""
@@ -555,9 +458,9 @@ class ServiceSwitch:
 
     def _timeout_failure(self) -> RequestTimeoutError:
         self.timeouts += 1
-        cache = self._obs_metrics()
-        if cache is not None:
-            cache.timeout()
+        registry = registry_of(self.sim)
+        if registry is not None:
+            registry.series[SWITCH_TIMEOUTS, self.service_name].inc()
         return RequestTimeoutError(
             f"service {self.service_name!r} request exceeded its "
             f"{self.request_timeout_s:g}s budget"

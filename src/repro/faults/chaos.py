@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core import HUPTestbed, MachineConfig, PlacementStrategy, ResourceRequirement
 from repro.core.auth import Credentials
@@ -42,6 +42,14 @@ CLASSES = ("gold", "silver", "bronze")
 # last campaign fault is detected, rebooted and un-quarantined before
 # the simulation drains.
 TAIL_S = 15.0
+
+# The load: Poisson arrivals per class, each a web request of this size,
+# under this per-request budget.
+RATE_RPS = 8.0
+DATASET_MB = 0.1
+REQUEST_TIMEOUT_S = 6.0
+# Width of the availability-timeline windows.
+WINDOW_S = 5.0
 
 
 @dataclass
@@ -137,27 +145,16 @@ def default_campaign(
 def run_chaos_scenario(
     seed: int = 0,
     duration_s: float = 60.0,
-    campaign: Optional[FaultSchedule] = None,
     with_faults: bool = True,
-    rate_rps: float = 8.0,
-    dataset_mb: float = 0.1,
-    window_s: float = 5.0,
-    request_timeout_s: float = 6.0,
 ) -> ChaosReport:
     """Run the chaos scenario once and account for every request.
 
-    ``campaign=None`` with ``with_faults=True`` arms the seeded default
-    campaign; ``with_faults=False`` runs the identical deployment and
-    load with no faults at all (the ablation baseline).
+    ``with_faults=True`` arms the seeded default campaign;
+    ``with_faults=False`` runs the identical deployment and load with no
+    faults at all (the ablation baseline).
     """
-    for name, value in (
-        ("duration_s", duration_s), ("rate_rps", rate_rps),
-        ("window_s", window_s), ("request_timeout_s", request_timeout_s),
-    ):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not (math.isfinite(dataset_mb) and dataset_mb >= 0):
-        raise ValueError(f"dataset_mb must be finite and >= 0, got {dataset_mb}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     tb = HUPTestbed(seed=seed, strategy=PlacementStrategy.WORST_FIT)
     for i in range(3):
         tb.add_host(
@@ -198,7 +195,7 @@ def run_chaos_scenario(
             contract.service_class, capacity_aware=True
         )
         switch.retry_policy = BackoffPolicy()
-        switch.request_timeout_s = request_timeout_s
+        switch.request_timeout_s = REQUEST_TIMEOUT_S
         watchdog = NodeWatchdog(tb.sim, record, poll_s=0.5)
         watchdogs[name] = watchdog
         tb.spawn(watchdog.watch(duration_s + TAIL_S), name=f"watchdog:{name}")
@@ -210,10 +207,8 @@ def run_chaos_scenario(
 
     all_nodes = [node for record in records.values() for node in record.nodes]
     injector = FaultInjector(tb.sim, tb.lan, all_nodes)
-    if with_faults and campaign is None:
-        campaign = default_campaign(tb, [n.name for n in all_nodes], duration_s)
-    if with_faults and campaign is not None and len(campaign):
-        injector.arm(campaign)
+    if with_faults:
+        injector.arm(default_campaign(tb, [n.name for n in all_nodes], duration_s))
 
     clients = ClientPool(tb.lan, n=6)
     load = tb.streams.spawn("chaos-load")
@@ -222,14 +217,14 @@ def run_chaos_scenario(
     stats = ledger.stats
 
     def one_request(name, switch):
-        request = web_request(clients.next_client(), dataset_mb, label=name)
+        request = web_request(clients.next_client(), DATASET_MB, label=name)
         yield from ledger.serve(name, switch, request)
 
     def drive(name, switch):
         deadline = start + duration_s
         stream = f"chaos-arrivals-{name}"
         while True:
-            yield tb.sim.timeout(load.exponential(stream, 1.0 / rate_rps))
+            yield tb.sim.timeout(load.exponential(stream, 1.0 / RATE_RPS))
             if tb.now >= deadline:
                 break
             stats[name].issued += 1
@@ -253,7 +248,7 @@ def run_chaos_scenario(
     return ChaosReport(
         seed=seed,
         duration_s=duration_s,
-        window_s=window_s,
+        window_s=WINDOW_S,
         stats=stats,
         outcomes=tuple(ledger.outcomes),
         fault_log=tuple(injector.log),

@@ -19,7 +19,7 @@ from typing import Any, Generator, List, Tuple
 from repro.core.node import VirtualServiceNode
 from repro.core.switch import ServiceSwitch
 from repro.net.lan import LAN
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import HEALTH_TRANSITIONS, registry_of
 from repro.sim.kernel import Event, Simulator
 
 __all__ = ["SwitchHealthChecker"]
@@ -105,8 +105,4 @@ class SwitchHealthChecker:
     def _obs(self, action: str) -> None:
         registry = registry_of(self.sim)
         if registry is not None:
-            registry.counter(
-                "soda_health_transitions_total",
-                "Quarantine/restore transitions made by health checkers.",
-                ("service", "action"),
-            ).inc(service=self.switch.service_name, action=action)
+            registry.series[HEALTH_TRANSITIONS, self.switch.service_name, action].inc()

@@ -21,7 +21,7 @@ from repro.core.node import VirtualServiceNode
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.guestos.uml import UmlState
 from repro.net.lan import LAN
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import FAULTS_INJECTED, registry_of
 from repro.obs.tracing import tracer_of
 from repro.sim.kernel import Event, Process, Simulator
 
@@ -87,11 +87,7 @@ class FaultInjector:
             self.injected[kind.value] = self.injected.get(kind.value, 0) + 1
             registry = registry_of(self.sim)
             if registry is not None:
-                registry.counter(
-                    "soda_faults_injected_total",
-                    "Faults injected into the platform, by kind.",
-                    ("kind",),
-                ).inc(kind=kind.value)
+                registry.series[FAULTS_INJECTED, kind.value].inc()
 
     def _span(self, event: FaultEvent):
         tracer = tracer_of(self.sim)

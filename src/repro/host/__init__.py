@@ -26,7 +26,6 @@ from repro.host.memory import MemoryError_, MemoryManager
 from repro.host.reservation import Reservation, ReservationError, ReservationManager
 from repro.host.scheduler import (
     ProportionalShareScheduler,
-    SchedulerRun,
     TaskGroup,
     VanillaLinuxScheduler,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "Reservation",
     "ReservationError",
     "ReservationManager",
-    "SchedulerRun",
     "TaskGroup",
     "TokenBucket",
     "TrafficShaper",

@@ -45,7 +45,6 @@ __all__ = [
     "WorkloadSpec",
     "TaskGroup",
     "SchedulerTrace",
-    "SchedulerRun",
     "VanillaLinuxScheduler",
     "ProportionalShareScheduler",
 ]
@@ -297,22 +296,14 @@ class _SchedulerBase:
         # reports batch totals through the ambiently active hub after
         # the loop (never from inside it — nothing perturbed).
         from repro.obs import ambient_registry
+        from repro.obs.metrics import SCHED_QUANTA, SCHED_RUNS
 
         registry = ambient_registry()
         if registry is not None:
-            quanta = registry.counter(
-                "soda_sched_quanta_total",
-                "Scheduler quanta simulated, by scheduler and disposition.",
-                ("scheduler", "state"),
-            )
             idle = int((charges == -1).sum()) if n_quanta else 0
-            quanta.inc(n_quanta - idle, scheduler=self.name, state="charged")
-            quanta.inc(idle, scheduler=self.name, state="idle")
-            registry.counter(
-                "soda_sched_runs_total",
-                "Quantum-loop batches executed, by scheduler.",
-                ("scheduler",),
-            ).inc(scheduler=self.name)
+            registry.series[SCHED_QUANTA, self.name, "charged"].inc(n_quanta - idle)
+            registry.series[SCHED_QUANTA, self.name, "idle"].inc(idle)
+            registry.series[SCHED_RUNS, self.name].inc()
 
         # np.cumsum accumulates left to right, so these are bit-for-bit
         # the values the repeated `now += QUANTUM_S` in the loop took.
@@ -461,10 +452,6 @@ class ProportionalShareScheduler(_SchedulerBase):
         rr_index[best] += 1
         passes[best] = best_pass + self._stride[best]
         return tasks[index]
-
-
-# Convenience alias used by experiment code.
-SchedulerRun = _SchedulerBase
 
 
 def figure5_groups() -> List[TaskGroup]:

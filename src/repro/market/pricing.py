@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.core.billing import BillingLedger
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import MARKET_SPOT_RATE, registry_of
 from repro.sim.kernel import Event, Simulator
 from repro.sim.rng import RandomStreams
 
@@ -139,10 +139,7 @@ class SpotPricer:
     def _obs_gauge(self, sim: Simulator) -> None:
         registry = registry_of(sim)
         if registry is not None:
-            registry.gauge(
-                "soda_market_spot_rate",
-                "Current spot price of one machine-instance-hour.",
-            ).set(self.rate)
+            registry.series[MARKET_SPOT_RATE].set(self.rate)
 
     # -- queries ---------------------------------------------------------
     def rate_at(self, t: float) -> float:

@@ -126,8 +126,9 @@ is lifted, exactly like a real TCP stream surviving a brief outage.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
+from repro.obs.metrics import LAN_FLUSHES, LAN_TRANSFERS
 from repro.sim.kernel import NORMAL, URGENT, Event, Simulator, _CallbackShim
 
 __all__ = ["NetworkInterface", "Flow", "LAN"]
@@ -283,27 +284,6 @@ class LAN:
         # common case so the allocator fast path stays fault-free.
         self._stalled: Set[NetworkInterface] = set()
         self._partition: Optional[FrozenSet[NetworkInterface]] = None
-        # Observability: counter children bound once per attached
-        # registry so the hot flush path pays one identity check, not a
-        # registry lookup-and-create per flush.
-        self._obs_registry = None
-        self._obs_flushes = None
-        self._obs_transfers = None
-        # Transfer-counter children by loopback flag, bound on first use.
-        self._obs_transfer_kinds: Dict[bool, Any] = {}
-
-    def _obs_bind(self, registry) -> None:
-        self._obs_registry = registry
-        self._obs_flushes = registry.counter(
-            "soda_lan_flushes_total",
-            "Batched LAN allocator flushes (rate recomputations).",
-        ).labels()
-        self._obs_transfers = registry.counter(
-            "soda_lan_transfers_total",
-            "Transfers started on the LAN, by path kind.",
-            ("kind",),
-        )
-        self._obs_transfer_kinds = {}
 
     # -- topology ---------------------------------------------------------
     def nic(self, name: str, rate_mbps: Optional[float] = None) -> NetworkInterface:
@@ -416,15 +396,7 @@ class LAN:
         flow = Flow(self, src, dst, size_mb, rate_cap_mbps, label)
         registry = getattr(self.sim, "metrics", None)
         if registry is not None:
-            if registry is not self._obs_registry:
-                self._obs_bind(registry)
-            child = self._obs_transfer_kinds.get(flow._loopback)
-            if child is None:
-                child = self._obs_transfers.labels(
-                    kind="loopback" if flow._loopback else "wire"
-                )
-                self._obs_transfer_kinds[flow._loopback] = child
-            child.inc()
+            registry.series[LAN_TRANSFERS, "loopback" if flow._loopback else "wire"].inc()
         self._flows.append(flow)
         if flow._loopback:
             # Singleton bottleneck group — but the rate is assigned in
@@ -462,9 +434,7 @@ class LAN:
         self._flush_pending = False
         registry = getattr(self.sim, "metrics", None)
         if registry is not None:
-            if registry is not self._obs_registry:
-                self._obs_bind(registry)
-            self._obs_flushes.inc()
+            registry.series[LAN_FLUSHES].inc()
         if self.sim._now > self._last_update:
             self._advance()
         if self._loopback_dirty:

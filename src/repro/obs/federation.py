@@ -44,7 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    FEDERATION_BARRIER_WAIT,
+    FEDERATION_EPOCH,
+    FEDERATION_MESSAGES,
+    MetricsRegistry,
+)
 
 __all__ = [
     "TraceContext",
@@ -228,22 +233,12 @@ class FederatedMetrics:
                         metric.inc(
                             value, **dict(zip(labels, (shard,) + tuple(key)))
                         )
-        registry.gauge(
-            "soda_federation_epoch",
-            "Epoch barriers completed by the federated run.",
-        ).set(float(self.epoch))
-        registry.gauge(
-            "soda_federation_messages_exchanged",
-            "Cross-shard messages exchanged over the whole run.",
-        ).set(float(self.messages))
-        if self.barrier_wait_s:
-            wait = registry.gauge(
-                "soda_federation_barrier_wait_seconds",
-                "CPU-seconds each worker spent waiting at epoch barriers.",
-                ("worker",),
+        registry.series[FEDERATION_EPOCH].set(float(self.epoch))
+        registry.series[FEDERATION_MESSAGES].set(float(self.messages))
+        for worker in sorted(self.barrier_wait_s):
+            registry.series[FEDERATION_BARRIER_WAIT, worker].set(
+                self.barrier_wait_s[worker]
             )
-            for worker in sorted(self.barrier_wait_s):
-                wait.set(self.barrier_wait_s[worker], worker=worker)
 
     def render(self) -> str:
         """The merged Prometheus text exposition (a fresh registry)."""

@@ -7,14 +7,14 @@ to their simulator (``sim.metrics``).  With no registry attached every
 instrumentation site is a cheap ``None`` check, so experiments pay
 nothing for the machinery they do not use.
 
-With a registry attached, a family-level ``inc(**labels)`` or
-``observe(value, **labels)`` is not cheap: it goes through ``labels()``,
-which sorts and validates the label names on every call.  Per-request
-sites therefore never make those calls.  They hold the children they
-need, each bound through ``labels()`` once, lazily, on first use — the
-moment the family-level call would have created it, so the exposition
-carries no extra zero-valued series.  Where a label varies per request,
-the site keeps a plain dict from that label value to its child.
+Every ``soda_*`` family the platform emits is declared once, below, as
+a :class:`Family` (name, kind, help text, label names).  A component
+records through the registry's memo, ``registry.series[family,
+*values]``, which maps the declaration and its label values to the
+child, so a record is one dict lookup once bound.  The first record of
+a family registers it together with its declared ``group`` (the
+families a component exposes as a set, even before it touches some of
+them), and creates only the child it records.
 
 Design constraints inherited from the simulation substrate:
 
@@ -28,10 +28,8 @@ Design constraints inherited from the simulation substrate:
   locking anything.
 
 >>> registry = MetricsRegistry()
->>> requests = registry.counter(
-...     "soda_switch_requests_total", "Requests by outcome", ("service", "outcome"))
->>> requests.inc(service="web", outcome="ok")
->>> requests.value(service="web", outcome="ok")
+>>> registry.series[SWITCH_REQUESTS, "web", "ok"].inc()
+>>> registry.get("soda_switch_requests_total").value(service="web", outcome="ok")
 1.0
 """
 
@@ -47,6 +45,8 @@ __all__ = [
     "MetricsRegistry",
     "registry_of",
     "DEFAULT_LATENCY_BUCKETS",
+    "FAMILIES",
+    "Family",
 ]
 
 #: Default histogram buckets, tuned for request latencies in seconds.
@@ -150,11 +150,12 @@ class _Metric:
 
     def labels(self, **labels: str):
         """The child for one label-value combination (created on demand)."""
-        key = self._key(labels)
+        return self._child(self._key(labels))
+
+    def _child(self, key: Tuple[str, ...]):
         child = self._children.get(key)
         if child is None:
-            child = self._new_child()
-            self._children[key] = child
+            child = self._children[key] = self._new_child()
         return child
 
     def samples(self) -> List[Tuple[Tuple[str, ...], object]]:
@@ -230,35 +231,52 @@ class Histogram(_Metric):
         self.labels(**labels).observe(value)
 
 
+class _SeriesMemo(dict):
+    """``MetricsRegistry.series``: a miss binds the child once."""
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: "MetricsRegistry"):
+        super().__init__()
+        self._registry = registry
+
+    def __missing__(self, key):
+        child = self[key] = self._registry._bind(key)
+        return child
+
+
 class MetricsRegistry:
     """A flat namespace of metrics, snapshot-queryable at any instant."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
+        #: ``series[family, *label values]`` (``series[family]`` for a
+        #: family without labels) is that child of a declared family.
+        #: Bound once per registry: a miss registers the family (with
+        #: its group) and creates the child; a hit is one dict lookup.
+        self.series = _SeriesMemo(self)
 
-    def _register(self, metric: _Metric) -> _Metric:
-        existing = self._metrics.get(metric.name)
-        if existing is not None:
-            if type(existing) is not type(metric) or (
-                existing.label_names != metric.label_names
-            ):
-                raise ValueError(
-                    f"metric {metric.name!r} already registered as "
-                    f"{existing.kind}{existing.label_names}"
-                )
-            return existing
-        self._metrics[metric.name] = metric
+    def _family(self, cls: type, name: str, help: str, labels, **options) -> _Metric:
+        """Get the family ``name`` (checking its shape), or create it."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = cls(name, help, labels, **options)
+        elif type(metric) is not cls or metric.label_names != tuple(labels):
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{metric.kind}{metric.label_names}"
+            )
         return metric
 
     def counter(
         self, name: str, help: str = "", labels: Tuple[str, ...] = ()
     ) -> Counter:
         """Get or create a counter (idempotent for identical shape)."""
-        return self._register(Counter(name, help, labels))  # type: ignore[return-value]
+        return self._family(Counter, name, help, labels)  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "", labels: Tuple[str, ...] = ()) -> Gauge:
         """Get or create a gauge (idempotent for identical shape)."""
-        return self._register(Gauge(name, help, labels))  # type: ignore[return-value]
+        return self._family(Gauge, name, help, labels)  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -268,7 +286,24 @@ class MetricsRegistry:
         buckets: Optional[Iterable[float]] = None,
     ) -> Histogram:
         """Get or create a histogram (idempotent for identical shape)."""
-        return self._register(Histogram(name, help, labels, buckets))  # type: ignore[return-value]
+        return self._family(  # type: ignore[return-value]
+            Histogram, name, help, labels, buckets=buckets
+        )
+
+    def _declared(self, family: "Family") -> _Metric:
+        return self._family(family.cls, family.name, family.help, family.labels)
+
+    def _bind(self, key):
+        family, values = (key[0], key[1:]) if type(key) is tuple else (key, ())
+        if family.name not in self._metrics:
+            for member in family.group:
+                self._declared(member)
+        metric = self._declared(family)
+        if len(values) != len(metric.label_names):
+            raise ValueError(
+                f"{family.name}: expected values for {metric.label_names}, got {values}"
+            )
+        return metric._child(tuple(str(v) for v in values))
 
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
@@ -347,3 +382,201 @@ def registry_of(sim) -> Optional[MetricsRegistry]:
     one attribute lookup when nothing is attached.
     """
     return getattr(sim, "metrics", None)
+
+
+# ---------------------------------------------------------------------------
+# The catalogue: every family the platform emits, declared once.
+# ---------------------------------------------------------------------------
+
+class Family:
+    """One declared metric family: class, name, help text and label names.
+
+    ``group`` is what ``MetricsRegistry.series`` registers when this
+    family's first record finds it missing: the family alone, or the
+    set a component exposes together.
+    """
+
+    __slots__ = ("cls", "name", "help", "labels", "group")
+
+    def __init__(self, cls: type, name: str, help: str, labels: Tuple[str, ...] = ()):
+        self.cls = cls
+        self.name = name
+        self.help = help
+        self.labels = labels
+        self.group: Tuple["Family", ...] = (self,)
+
+
+#: Declared families by name (``docs/OBSERVABILITY.md`` §2 lists them).
+FAMILIES: Dict[str, Family] = {}
+
+
+def _declare(cls: type, name: str, help: str, labels: Tuple[str, ...] = ()) -> Family:
+    if name in FAMILIES:
+        raise ValueError(f"metric family {name!r} declared twice")
+    family = FAMILIES[name] = Family(cls, name, help, labels)
+    return family
+
+
+def _together(*families: Family) -> None:
+    for family in families:
+        family.group = families
+
+
+# Service switch (core/switch.py).
+SWITCH_REQUESTS = _declare(
+    Counter, "soda_switch_requests_total",
+    "Requests seen by a service switch, by outcome.", ("service", "outcome"),
+)
+SWITCH_RESPONSE = _declare(
+    Histogram, "soda_switch_response_seconds",
+    "Client-visible response time through the switch.", ("service",),
+)
+SWITCH_DISPATCH = _declare(
+    Counter, "soda_switch_dispatch_total",
+    "Requests dispatched to each back-end node.", ("service", "node"),
+)
+SWITCH_FAILOVERS = _declare(
+    Counter, "soda_switch_failovers_total",
+    "Dispatch attempts retried on another replica.", ("service",),
+)
+SWITCH_TIMEOUTS = _declare(
+    Counter, "soda_switch_timeouts_total",
+    "Requests that exhausted their timeout budget.", ("service",),
+)
+TENANT_REQUESTS = _declare(
+    Counter, "soda_tenant_requests_total",
+    "Requests by owning tenant and outcome (market extension).",
+    ("tenant", "service", "outcome"),
+)
+# A switch's first record registers all six, so its exposition lists
+# the failover and timeout families (empty) before either happens.
+_together(
+    SWITCH_REQUESTS, SWITCH_RESPONSE, SWITCH_DISPATCH,
+    SWITCH_FAILOVERS, SWITCH_TIMEOUTS, TENANT_REQUESTS,
+)
+
+# Virtual service node (core/node.py).
+NODE_INFLIGHT = _declare(
+    Gauge, "soda_node_inflight",
+    "Requests currently inside each virtual service node.", ("node",),
+)
+NODE_SERVED = _declare(
+    Counter, "soda_node_served_total",
+    "Requests served to completion by each node.", ("node",),
+)
+NODE_FAILED = _declare(
+    Counter, "soda_node_failed_total",
+    "Requests failed at each node (down or died while queued).", ("node",),
+)
+
+# Control plane (core/master.py, core/daemon.py, core/monitoring.py).
+MASTER_ADMISSIONS = _declare(
+    Counter, "soda_master_admissions_total",
+    "Service admission decisions by the SODA Master.", ("outcome",),
+)
+DAEMON_PRIMING = _declare(
+    Counter, "soda_daemon_priming_total",
+    "Service-priming stages reached, by host.", ("host", "stage"),
+)
+HOST_CPU_RESERVED = _declare(
+    Gauge, "soda_host_cpu_reserved_ratio",
+    "Reserved CPU fraction per HUP host (sampled).", ("host",),
+)
+
+# Clients and the LAN (workload/clients.py, net/lan.py).
+CLIENT_REQUESTS = _declare(
+    Counter, "soda_client_requests_total",
+    "Client machines handed out by the pool (one per request).", ("pool",),
+)
+LAN_FLUSHES = _declare(
+    Counter, "soda_lan_flushes_total",
+    "Batched LAN allocator flushes (rate recomputations).",
+)
+LAN_TRANSFERS = _declare(
+    Counter, "soda_lan_transfers_total",
+    "Transfers started on the LAN, by path kind.", ("kind",),
+)
+_together(LAN_FLUSHES, LAN_TRANSFERS)
+
+# Faults (faults/injector.py, faults/health.py).
+FAULTS_INJECTED = _declare(
+    Counter, "soda_faults_injected_total",
+    "Faults injected into the platform, by kind.", ("kind",),
+)
+HEALTH_TRANSITIONS = _declare(
+    Counter, "soda_health_transitions_total",
+    "Quarantine/restore transitions made by health checkers.",
+    ("service", "action"),
+)
+
+# SLA (sla/monitor.py, sla/penalties.py).
+SLA_BREACHES = _declare(
+    Counter, "soda_sla_breaches_total",
+    "SLA objective breaches detected, by kind.", ("service", "kind"),
+)
+SLA_CREDIT = _declare(
+    Counter, "soda_sla_credit_total",
+    "SLA penalty credits posted to the billing ledger.", ("service",),
+)
+
+# Market (market/pricing.py).
+MARKET_SPOT_RATE = _declare(
+    Gauge, "soda_market_spot_rate",
+    "Current spot price of one machine-instance-hour.",
+)
+
+# Host CPU scheduler (host/scheduler.py).
+SCHED_QUANTA = _declare(
+    Counter, "soda_sched_quanta_total",
+    "Scheduler quanta simulated, by scheduler and disposition.",
+    ("scheduler", "state"),
+)
+SCHED_RUNS = _declare(
+    Counter, "soda_sched_runs_total",
+    "Quantum-loop batches executed, by scheduler.", ("scheduler",),
+)
+
+# Fluid fleet (sim/fluid.py).
+FLUID_BATCHES = _declare(
+    Counter, "soda_fluid_batches_total",
+    "Fluid arrival batches completed, per service and cluster.",
+    ("service", "cluster"),
+)
+FLUID_SOJOURN = _declare(
+    Gauge, "soda_fluid_mean_sojourn_seconds",
+    "Mean host sojourn of the latest fluid batch.", ("service", "cluster"),
+)
+# A fleet also counts its requests in SWITCH_REQUESTS, but exposes none
+# of the switch's other families: it records a batch first, so this
+# group, not the switch's, registers that counter.
+FLUID_BATCHES.group = (FLUID_BATCHES, FLUID_SOJOURN, SWITCH_REQUESTS)
+
+# Parallel federation shards and the geo broker (sim/parallel.py).
+SHARD_MESSAGES = _declare(
+    Counter, "soda_shard_messages_total",
+    "Cross-shard messages at this shard, by direction and kind.",
+    ("direction", "kind"),
+)
+GEO_REQUESTS = _declare(
+    Counter, "soda_geo_requests_total",
+    "Geo-routed requests by scope (local/remote issued, served, replied).",
+    ("scope",),
+)
+BROKER_PLACEMENTS = _declare(
+    Counter, "soda_broker_placements_total",
+    "Broker placement decisions, by chosen hosting cluster.", ("cluster",),
+)
+
+# Federation coordinator (obs/federation.py).
+FEDERATION_EPOCH = _declare(
+    Gauge, "soda_federation_epoch",
+    "Epoch barriers completed by the federated run.",
+)
+FEDERATION_MESSAGES = _declare(
+    Gauge, "soda_federation_messages_exchanged",
+    "Cross-shard messages exchanged over the whole run.",
+)
+FEDERATION_BARRIER_WAIT = _declare(
+    Gauge, "soda_federation_barrier_wait_seconds",
+    "CPU-seconds each worker spent waiting at epoch barriers.", ("worker",),
+)

@@ -137,9 +137,6 @@ class KernelProfiler:
         self.wall_s_total = 0.0
         self.heap_high_water = 0
 
-    # Backwards-compatible alias (pre-federation name).
-    clear = reset
-
 
 def profiler_of(sim) -> Optional[KernelProfiler]:
     """The profiler installed on ``sim``, if any."""

@@ -53,6 +53,10 @@ __all__ = ["POLICIES", "ScenarioReport", "run_scenario"]
 
 POLICIES = ("fcfs", "sla", "market")
 
+#: Nodes per tenant service and client machines on the LAN.
+NODES_PER_SERVICE = 1
+N_CLIENTS = 4
+
 _CONTRACTS = {
     "gold": lambda: SLAContract.gold(p95_s=0.5),
     "silver": lambda: SLAContract.silver(p95_s=1.5),
@@ -122,8 +126,6 @@ def run_scenario(
     seed: int = 0,
     policy: str = "fcfs",
     compiled: Optional[CompiledScenario] = None,
-    nodes_per_service: int = 1,
-    n_clients: int = 4,
     background_hosts: int = 0,
 ) -> ScenarioReport:
     """Compile (unless given) and run one scenario cell to completion."""
@@ -145,7 +147,7 @@ def run_scenario(
     for load in spec.loads:
         contract = _CONTRACTS[load.sla_class]() if policy == "sla" else None
         requirement = ResourceRequirement(
-            n=nodes_per_service, machine=MachineConfig()
+            n=NODES_PER_SERVICE, machine=MachineConfig()
         )
         tb.run(
             tb.agent.service_creation(
@@ -176,7 +178,7 @@ def run_scenario(
             bids[load.tenant] = tb.streams.uniform(bid_stream, low, high)
         tb.spawn(pricer.run(tb.sim, spec.duration_s), name="scenario-spot")
 
-    clients = ClientPool(tb.lan, n=n_clients)
+    clients = ClientPool(tb.lan, n=N_CLIENTS)
     if background_hosts > 0:
         fleet = tb.add_fluid_fleet(
             n_hosts=background_hosts,

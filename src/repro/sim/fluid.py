@@ -61,7 +61,7 @@ from typing import Any, Dict, Generator, List, Optional
 import numpy as np
 
 from repro.net.lan import LAN
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import FLUID_BATCHES, FLUID_SOJOURN, SWITCH_REQUESTS, registry_of
 from repro.sim.kernel import Event, Simulator
 from repro.sim.rng import RandomStreams
 
@@ -456,10 +456,6 @@ class FluidBackgroundLoad:
         self.report = FluidReport(mode=fidelity)
         self._inflight = 0
         self._drained: Optional[Event] = None
-        # Metrics instrumentation, cached per attached registry (the
-        # registry may be attached to the sim after this load exists).
-        self._obs_registry = None
-        self._obs_metrics = None
 
     @property
     def n_hosts(self) -> int:
@@ -605,33 +601,15 @@ class FluidBackgroundLoad:
     ) -> None:
         """Metrics parity with the discrete path (observe, never perturb).
 
-        Request volume reuses the discrete switch counter name — the
+        Request volume reuses the discrete switch counter — the
         semantics match (requests completing a serving path, by outcome)
         — while batch count and mean host sojourn are fluid-specific.
+        The batch is recorded first: its family's group registers the
+        switch counter without the switch's other families.
         """
         registry = registry_of(self.sim)
         if registry is None:
             return
-        if self._obs_registry is not registry:
-            self._obs_registry = registry
-            self._obs_metrics = (
-                registry.counter(
-                    "soda_switch_requests_total",
-                    "Requests seen by a service switch, by outcome.",
-                    ("service", "outcome"),
-                ),
-                registry.counter(
-                    "soda_fluid_batches_total",
-                    "Fluid arrival batches completed, per service and cluster.",
-                    ("service", "cluster"),
-                ),
-                registry.gauge(
-                    "soda_fluid_mean_sojourn_seconds",
-                    "Mean host sojourn of the latest fluid batch.",
-                    ("service", "cluster"),
-                ),
-            )
-        requests, batches, sojourn = self._obs_metrics
-        requests.inc(n, service=spec.name, outcome="ok")
-        batches.inc(service=spec.name, cluster=cluster.name)
-        sojourn.set(mean_sojourn, service=spec.name, cluster=cluster.name)
+        registry.series[FLUID_BATCHES, spec.name, cluster.name].inc()
+        registry.series[FLUID_SOJOURN, spec.name, cluster.name].set(mean_sojourn)
+        registry.series[SWITCH_REQUESTS, spec.name, "ok"].inc(n)

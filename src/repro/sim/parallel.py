@@ -70,7 +70,12 @@ from repro.obs.federation import (
     TraceContext,
     merge_shard_spans,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    BROKER_PLACEMENTS,
+    GEO_REQUESTS,
+    SHARD_MESSAGES,
+    MetricsRegistry,
+)
 from repro.obs.profiler import KernelProfiler
 from repro.obs.tracing import RequestTracer
 from repro.sim.fluid import (
@@ -330,7 +335,7 @@ class GeoBroker:
         self.capacity = dict(capacity)
         self.placements: Dict[str, str] = {}  # service -> hosting cluster
         self.load: Dict[str, int] = {name: 0 for name in capacity}
-        self._placements_metric = None
+        self._registry: Optional[MetricsRegistry] = None
 
     def instrument(self, registry) -> "GeoBroker":
         """Count placement decisions in ``registry``, by chosen cluster.
@@ -338,11 +343,7 @@ class GeoBroker:
         Observe-only: the counter never feeds back into :meth:`place`,
         so instrumented and bare brokers decide identically.
         """
-        self._placements_metric = registry.counter(
-            "soda_broker_placements_total",
-            "Broker placement decisions, by chosen hosting cluster.",
-            ("cluster",),
-        )
+        self._registry = registry
         return self
 
     def latency(self, a: str, b: str) -> float:
@@ -384,8 +385,8 @@ class GeoBroker:
         )
         self.placements[service] = chosen
         self.load[chosen] += 1
-        if self._placements_metric is not None:
-            self._placements_metric.inc(cluster=chosen)
+        if self._registry is not None:
+            self._registry.series[BROKER_PLACEMENTS, chosen].inc()
         return chosen
 
 
@@ -471,8 +472,6 @@ class ClusterShard:
         self.tracer: Optional[RequestTracer] = None
         self.registry: Optional[MetricsRegistry] = None
         self.profiler: Optional[KernelProfiler] = None
-        self._msgs_metric = None
-        self._geo_metric = None
         #: Open root spans by trace id, finished when the round trip
         #: (reply / placed broadcast) lands back here.
         self._open_roots: Dict[Any, Any] = {}
@@ -489,17 +488,6 @@ class ClusterShard:
             if self.obs.metrics:
                 self.registry = MetricsRegistry()
                 self.sim.metrics = self.registry
-                self._msgs_metric = self.registry.counter(
-                    "soda_shard_messages_total",
-                    "Cross-shard messages at this shard, by direction and kind.",
-                    ("direction", "kind"),
-                )
-                self._geo_metric = self.registry.counter(
-                    "soda_geo_requests_total",
-                    "Geo-routed requests by scope "
-                    "(local/remote issued, served, replied).",
-                    ("scope",),
-                )
                 if self.broker is not None:
                     self.broker.instrument(self.registry)
             if self.obs.profile:
@@ -539,8 +527,8 @@ class ClusterShard:
                 lambda handler=handler, message=message: handler(message),
             )
             self.msgs_received += 1
-            if self._msgs_metric is not None:
-                self._msgs_metric.inc(direction="received", kind=message.kind)
+            if self.registry is not None:
+                self.registry.series[SHARD_MESSAGES, "received", message.kind].inc()
 
     def drain_outbox(self) -> List[ShardMessage]:
         drained, self.outbox = self.outbox, []
@@ -595,8 +583,8 @@ class ClusterShard:
             )
         )
         self.msgs_sent += 1
-        if self._msgs_metric is not None:
-            self._msgs_metric.inc(direction="sent", kind=kind)
+        if self.registry is not None:
+            self.registry.series[SHARD_MESSAGES, "sent", kind].inc()
 
     # -- workload: geo-routed demand ---------------------------------------
     def _geo_client(self, duration_s: float) -> Generator[Event, Any, None]:
@@ -620,8 +608,8 @@ class ClusterShard:
                 self._serve_local(entry, n, gap)
             else:
                 self.issued_remote += n
-                if self._geo_metric is not None:
-                    self._geo_metric.inc(n, scope="remote")
+                if self.registry is not None:
+                    self.registry.series[GEO_REQUESTS, "remote"].inc(n)
                 ctx = None
                 if self.tracer is not None:
                     root = self.tracer.start_span(
@@ -645,8 +633,8 @@ class ClusterShard:
         )
         self.issued_local += n
         self.latency_local_sum += n * (self._classify_s + mean_sojourn)
-        if self._geo_metric is not None:
-            self._geo_metric.inc(n, scope="local")
+        if self.registry is not None:
+            self.registry.series[GEO_REQUESTS, "local"].inc(n)
 
     # -- workload: broker placement calls ------------------------------------
     def _placement_client(self, duration_s: float) -> Generator[Event, Any, None]:
@@ -700,8 +688,8 @@ class ClusterShard:
             self.sim.now, n, entry.service_s, 0.0
         )
         self.served_remote += n
-        if self._geo_metric is not None:
-            self._geo_metric.inc(n, scope="served")
+        if self.registry is not None:
+            self.registry.series[GEO_REQUESTS, "served"].inc(n)
         if ctx is not None and self.tracer is not None:
             self.tracer.start_span(
                 "remote_service", f"serve:{self.name}", self.sim.now,
@@ -719,8 +707,8 @@ class ClusterShard:
         _service, n, origin_time = message.payload
         self.replied += n
         self.latency_remote_sum += n * (self.sim.now - origin_time)
-        if self._geo_metric is not None:
-            self._geo_metric.inc(n, scope="replied")
+        if self.registry is not None:
+            self.registry.series[GEO_REQUESTS, "replied"].inc(n)
         if message.trace is not None and self.tracer is not None:
             root = self._open_roots.pop(message.trace.trace_id, None)
             if root is not None:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
-from repro.obs.metrics import registry_of
+from repro.obs.metrics import SLA_BREACHES, registry_of
 from repro.sla.contract import SLAContract
 from repro.sim.kernel import Event, Simulator
 
@@ -197,11 +197,7 @@ class SLOMonitor:
                 registry = registry_of(self.sim)
                 for violation in found:
                     if registry is not None:
-                        registry.counter(
-                            "soda_sla_breaches_total",
-                            "SLA objective breaches detected, by kind.",
-                            ("service", "kind"),
-                        ).inc(service=self.service_name, kind=violation.kind)
+                        registry.series[SLA_BREACHES, self.service_name, violation.kind].inc()
                     for listener in self.breach_listeners:
                         listener(violation)
         return self.violations

@@ -16,6 +16,7 @@ from typing import Dict, Sequence
 
 from repro.core.billing import BillingLedger
 from repro.obs import ambient_registry
+from repro.obs.metrics import SLA_CREDIT
 from repro.sla.contract import PenaltySchedule
 from repro.sla.monitor import SLAViolation
 
@@ -99,11 +100,7 @@ class PenaltySettler:
             # reports through the ambiently active observability hub.
             registry = ambient_registry()
             if registry is not None:
-                registry.counter(
-                    "soda_sla_credit_total",
-                    "SLA penalty credits posted to the billing ledger.",
-                    ("service",),
-                ).inc(credit, service=service)
+                registry.series[SLA_CREDIT, service].inc(credit)
         self._settled[service] = start + len(fresh)
         settlement = Settlement(
             service=service,

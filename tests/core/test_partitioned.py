@@ -172,3 +172,25 @@ def test_config_file_lists_component_nodes(testbed):
     record = create_shop(testbed, n=3)
     assert record.switch.config.total_capacity == 3
     assert len(record.switch.config) == 2
+
+
+@pytest.mark.parametrize("n_new", [2, 4])
+def test_partitioned_service_rejects_resize(testbed, n_new):
+    """Resizing is per replica, not per component: shrinking to 2 would
+    drop the only database node and growing to 4 would add a node with
+    no component, so the resize is refused and nothing moves."""
+    record = create_shop(testbed, n=3)
+    nodes = [(n.name, n.component, n.units) for n in record.nodes]
+    reserved = {name: host.reservations.reserved for name, host in testbed.hosts.items()}
+    config = record.switch.config.render()
+    with pytest.raises(InvalidRequestError, match="partitioned"):
+        testbed.run(
+            testbed.agent.service_resizing(testbed.creds, "shop", testbed.repo, n_new)
+        )
+    assert record.is_running
+    assert [(n.name, n.component, n.units) for n in record.nodes] == nodes
+    assert {
+        name: host.reservations.reserved for name, host in testbed.hosts.items()
+    } == reserved
+    assert record.switch.config.render() == config
+    assert record.requirement.n == 3

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from repro.core.errors import RequestTimeoutError
 from repro.faults.chaos import run_chaos_scenario
 from repro.faults.retry import BackoffPolicy
 from repro.obs import Observability
@@ -94,3 +95,38 @@ def test_retried_request_tiles_inline_and_under_a_budget(spread_testbed, timeout
     assert names.count("redispatch") == switch.failovers >= 1
     assert segments[1].name == "queue_wait" and segments[1].status == "failed"
     assert_tiles(root, segments)
+
+
+def test_abandoned_attempt_opens_no_span_after_its_root_closes(spread_testbed):
+    """The stalled-link timeout of ``test_timeout_budget_fails_request_
+    behind_stalled_link``, traced.  The budget closes the root at 0.5 s;
+    the forward lands at 2 s, when the link heals, and the back-end
+    still serves the abandoned attempt, but opens none of its spans."""
+    tb = spread_testbed
+    hub = Observability(tracing=True)
+    hub.attach(tb.sim)
+    record = create_service(tb, n=2)
+    switch = record.switch
+    switch.request_timeout_s = 0.5
+    remote = next(
+        n for n in record.nodes if n.host.nic is not switch.home_node.host.nic
+    )
+    switch.quarantine(next(n for n in record.nodes if n is not remote))
+    nic = tb.lan.find_nic(remote.host.name)
+    tb.lan.stall_nic(nic)
+
+    def unstall():
+        yield tb.sim.timeout(2.0)
+        tb.lan.unstall_nic(nic)
+
+    tb.spawn(unstall(), name="unstall")
+    client = ClientPool(tb.lan, n=1).next_client()
+    with pytest.raises(RequestTimeoutError):
+        tb.run(switch.serve(web_request(client, 0.05)), name="req")
+    tb.sim.run()
+    assert remote.served == 1  # the abandoned work still ran
+    (root,) = [r for r in hub.tracer.roots("failed") if r.name == "request"]
+    spans = [s for s in hub.tracer.spans() if s.trace_id == root.trace_id]
+    assert [s.name for s in spans] == ["request", "dispatch"]
+    assert all(s.finished for s in spans)
+    assert all(s.start <= root.end for s in spans)

@@ -142,12 +142,9 @@ def test_timeout_and_chaos_inputs_rejected_where_they_enter(spread_testbed):
     assert switch.request_timeout_s is None
     switch.request_timeout_s = 2.0
     switch.request_timeout_s = None
-    for name, bad in (
-        ("duration_s", nan), ("rate_rps", -1.0), ("rate_rps", nan),
-        ("window_s", 0.0), ("dataset_mb", nan), ("request_timeout_s", -1.0),
-    ):
-        with pytest.raises(ValueError, match=name):
-            run_chaos_scenario(**{name: bad})
+    for bad in (nan, inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="duration_s"):
+            run_chaos_scenario(duration_s=bad)
 
 
 @pytest.mark.parametrize("field", ["period_s", "probe_timeout_s"])

@@ -1,10 +1,26 @@
 """Tests for the labeled metrics registry."""
 
+import ast
 import math
+import pathlib
+import re
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, registry_of
+import repro
+from repro.obs.metrics import (
+    FAMILIES,
+    FLUID_BATCHES,
+    NODE_SERVED,
+    SWITCH_REQUESTS,
+    SWITCH_TIMEOUTS,
+    Counter,
+    MetricsRegistry,
+    registry_of,
+)
+
+SRC = pathlib.Path(repro.__file__).parent
+DOCS = SRC.parents[1] / "docs" / "OBSERVABILITY.md"
 
 
 def test_counter_inc_and_value():
@@ -142,3 +158,99 @@ def test_registry_of_defaults_to_none():
     assert registry_of(sim) is None
     sim.metrics = MetricsRegistry()
     assert registry_of(sim) is sim.metrics
+
+
+# -- declared families and the series memo -----------------------------------
+
+
+def test_series_binds_a_child_once_per_registry():
+    registry = MetricsRegistry()
+    child = registry.series[NODE_SERVED, "web@a#0"]
+    child.inc()
+    assert registry.series[NODE_SERVED, "web@a#0"] is child
+    assert registry.get("soda_node_served_total").value(node="web@a#0") == 1.0
+    other = MetricsRegistry()
+    assert other.series[NODE_SERVED, "web@a#0"] is not child
+    assert other.get("soda_node_served_total").value(node="web@a#0") == 0.0
+
+
+def test_first_record_registers_the_group_and_only_its_own_child():
+    registry = MetricsRegistry()
+    registry.series[SWITCH_TIMEOUTS, "web"].inc()
+    assert {m.name: len(m) for m in registry.collect()} == {
+        "soda_switch_requests_total": 0,
+        "soda_switch_response_seconds": 0,
+        "soda_switch_dispatch_total": 0,
+        "soda_switch_failovers_total": 0,
+        "soda_switch_timeouts_total": 1,
+        "soda_tenant_requests_total": 0,
+    }
+
+
+def test_fluid_batch_registers_the_switch_counter_alone():
+    registry = MetricsRegistry()
+    registry.series[FLUID_BATCHES, "web", "c0"].inc()
+    registry.series[SWITCH_REQUESTS, "web", "ok"].inc(5)
+    assert [m.name for m in registry.collect()] == [
+        "soda_fluid_batches_total",
+        "soda_fluid_mean_sojourn_seconds",
+        "soda_switch_requests_total",
+    ]
+
+
+def test_series_checks_values_and_shape():
+    registry = MetricsRegistry()
+    with pytest.raises(ValueError, match="expected values"):
+        registry.series[SWITCH_REQUESTS, "web"]
+    clash = MetricsRegistry()
+    clash.counter("soda_node_served_total", labels=("shard", "node"))
+    with pytest.raises(ValueError, match="already registered"):
+        clash.series[NODE_SERVED, "web@a#0"]
+
+
+def test_get_or_create_returns_existing_family_without_building_one(monkeypatch):
+    registry = MetricsRegistry()
+    first = registry.counter("soda_idem_total", labels=("x",))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a family that already exists")
+
+    monkeypatch.setattr(Counter, "__init__", refuse)
+    assert registry.counter("soda_idem_total", labels=("x",)) is first
+
+
+def test_docs_catalogue_matches_the_declarations():
+    rows = re.findall(r"^\| `(soda_\w+)` \| ([^|]+) \|", DOCS.read_text(), re.M)
+    documented = {
+        name: () if labels.strip() == "—" else tuple(
+            label.strip() for label in labels.split(",")
+        )
+        for name, labels in rows
+    }
+    assert len(rows) == len(documented) == 30
+    assert documented == {name: f.labels for name, f in FAMILIES.items()}
+
+
+def _strings_and_registry_calls(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("soda_"):
+                yield f"string {node.value!r}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("counter", "gauge", "histogram")
+        ):
+            yield f"call .{node.func.attr}()"
+
+
+def test_families_are_declared_only_in_the_catalogue():
+    """Outside ``repro.obs`` no module names a family or builds one: it
+    records through ``registry.series`` with a declaration."""
+    offenders = [
+        f"{path.relative_to(SRC)}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.parent.name != "obs"
+        for what in _strings_and_registry_calls(path)
+    ]
+    assert offenders == []

@@ -29,7 +29,7 @@ def test_heap_high_water_and_clear():
         profiler.note_heap_depth(depth)
     assert profiler.heap_high_water == 9
     profiler.record("x", 0.1)
-    profiler.clear()
+    profiler.reset()
     assert profiler.events_total == 0
     assert profiler.heap_high_water == 0
     assert not profiler.sites
@@ -122,15 +122,6 @@ def test_install_accumulates_across_run_resumptions():
     sim.run(until=9.0)
     assert 0 < profiler.events_total <= after_first
 
-
-def test_reset_keeps_clear_alias():
-    profiler = KernelProfiler()
-    profiler.record("x", 0.1)
-    profiler.clear()  # backwards-compatible alias for reset()
-    assert profiler.events_total == 0
-    profiler.record("y", 0.2)
-    profiler.reset()
-    assert profiler.events_total == 0 and not profiler.sites
 
 
 def test_profiled_run_with_until_clamp():

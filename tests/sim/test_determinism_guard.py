@@ -205,9 +205,11 @@ def test_chaos_digest_unchanged_by_full_observability():
 
 # What the hub emits for chaos seed 0 (30 s) under tracing + metrics:
 # sha256 of the Prometheus exposition (146 lines) and of every span's
-# to_dict() (3669 spans).  A change to an instrumentation site that adds,
-# drops or reorders a series or a span — e.g. binding metric children
-# eagerly, which adds zero-valued series — changes them.
+# to_dict() (3669 spans).  A change to an instrumentation site or to the
+# registry's binding rules (MetricsRegistry.series: a child on its first
+# record, a family's group with the family) that adds, drops or reorders
+# a series or a span changes them; creating children before their first
+# record, for one, adds zero-valued series.
 CHAOS_HUB_PROMETHEUS_SHA = "17b5ff59be248e165e7583bc323a4d45f3061d34b843210aa6c2f09d98ef8d30"
 CHAOS_HUB_SPANS_SHA = "11d7e3eca823e6bd19fd83c90b186abaec8e7403bd58bb7b867bc0c370fbcda5"
 
