@@ -24,6 +24,7 @@ a metrics gauge plus a queryable history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -61,12 +62,13 @@ class PricingParams:
                 f"target utilization must be in (0, 1), got "
                 f"{self.target_utilization}"
             )
-        if self.sensitivity < 0:
-            raise ValueError(f"sensitivity cannot be negative: {self.sensitivity}")
-        if self.interval_s <= 0:
-            raise ValueError(f"interval must be positive: {self.interval_s}")
-        if self.jitter_sigma < 0:
-            raise ValueError(f"jitter sigma cannot be negative: {self.jitter_sigma}")
+        # Chained comparisons are false for NaN, so each also rejects it.
+        if not 0 <= self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be finite and >= 0: {self.sensitivity}")
+        if not 0 < self.interval_s < math.inf:
+            raise ValueError(f"interval must be positive and finite: {self.interval_s}")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter sigma must be finite and >= 0: {self.jitter_sigma}")
 
 
 def reprice(rate: float, utilization: float, params: PricingParams, jitter: float = 1.0) -> float:

@@ -68,19 +68,18 @@ def size_sampler(
     """A per-arrival dataset-MB sampler drawing from ``stream``."""
     if sizes.kind == "fixed":
         return lambda _t: sizes.mb
-    generator = streams.stream(stream)
     if sizes.kind == "lognormal":
+        log_mb = math.log(sizes.mb)
 
         def draw(_t: float) -> float:
-            value = float(generator.lognormal(mean=math.log(sizes.mb), sigma=sizes.sigma))
-            return min(value, sizes.cap_mb)
+            return min(streams.lognormal(stream, log_mb, sizes.sigma), sizes.cap_mb)
 
         return draw
 
     def draw_pareto(_t: float) -> float:
         # numpy's pareto() is the Lomax tail; 1 + tail is the classic
         # Pareto with minimum 1, scaled to the model's minimum size.
-        value = sizes.mb * (1.0 + float(generator.pareto(sizes.alpha)))
+        value = sizes.mb * (1.0 + streams.pareto(stream, sizes.alpha))
         return min(value, sizes.cap_mb)
 
     return draw_pareto

@@ -1,6 +1,7 @@
 """Unit tests for the token bucket and per-IP traffic shaper."""
 
 import math
+import random
 
 import pytest
 
@@ -60,6 +61,31 @@ def test_delay_until_available():
     bucket.try_consume(0.0, 10.0)
     assert bucket.delay_until_available(0.0, 4.0) == pytest.approx(4.0)
     assert bucket.delay_until_available(5.0, 4.0) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 1e9])
+def test_waiting_the_delay_always_suffices(offset):
+    """A caller that waits exactly ``delay_until_available`` gets its
+    tokens at any clock value, though ``now + delay`` rounds to the
+    clock's step there."""
+    rng = random.Random(7)
+    for _ in range(200):
+        bucket = TokenBucket(rate_mbps=rng.uniform(1.0, 1000.0), burst_mb=rng.uniform(0.1, 10.0))
+        bucket.try_consume(offset, bucket.burst_mb * rng.uniform(0.5, 1.0))
+        size = rng.uniform(0.01, bucket.burst_mb)
+        delay = bucket.delay_until_available(offset, size)
+        assert bucket.try_consume(offset + delay, size)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_size_rejected(bad):
+    bucket = TokenBucket(rate_mbps=8.0, burst_mb=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        bucket.try_consume(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        bucket.delay_until_available(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        bucket.tokens(bad)
 
 
 def test_delay_for_oversized_request_rejected():

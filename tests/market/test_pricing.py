@@ -1,5 +1,7 @@
 """Spot pricing: pure repricing function, seeded pricer, ledger wiring."""
 
+import math
+
 import pytest
 
 from repro.core.billing import BillingLedger
@@ -40,6 +42,13 @@ def test_params_validated():
         PricingParams(target_utilization=1.5)
     with pytest.raises(ValueError):
         PricingParams(interval_s=0.0)
+
+
+@pytest.mark.parametrize("field", ["sensitivity", "interval_s", "jitter_sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        PricingParams(**{field: bad})
 
 
 def test_tick_records_history_and_notifies():
