@@ -25,85 +25,45 @@ The entities of §2.2/§3, layered on the substrates:
   simulated platform together (what examples and experiments use).
 """
 
-from repro.core.agent import SODAAgent
-from repro.core.allocation import (
-    AllocationPlan,
-    NodeAssignment,
-    PlacementStrategy,
-    SLOWDOWN_INFLATION,
-    plan_allocation,
-)
-from repro.core.api import HUPTestbed, build_paper_testbed
-from repro.core.auth import ASPAccount, ASPRegistry
-from repro.core.autoscaler import AutoscalerConfig, ReactiveAutoscaler
-from repro.core.billing import BillingLedger
-from repro.core.config import BackEndDirective, ServiceConfigFile
-from repro.core.daemon import SODADaemon
-from repro.core.errors import (
-    AdmissionError,
-    AuthenticationError,
-    InvalidRequestError,
-    RequestSheddedError,
-    ServiceNotFoundError,
-    SODAError,
-)
-from repro.core.federation import FederatedHUP
-from repro.core.master import SODAMaster
-from repro.core.monitoring import HUPMonitor, UtilisationSampler
-from repro.core.node import Request, VirtualServiceNode
-from repro.core.profiling import ResourceProfiler, ServiceLoadSpec
-from repro.core.recovery import NodeWatchdog
-from repro.core.policies import (
-    LeastConnectionsPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SwitchingPolicy,
-    WeightedRoundRobinPolicy,
-)
-from repro.core.requirements import MachineConfig, ResourceRequirement
-from repro.core.service import ServiceRecord, ServiceState
-from repro.core.switch import ServiceSwitch
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASPAccount",
-    "ASPRegistry",
-    "AdmissionError",
-    "AllocationPlan",
-    "AuthenticationError",
-    "AutoscalerConfig",
-    "BackEndDirective",
-    "BillingLedger",
-    "FederatedHUP",
-    "HUPMonitor",
-    "HUPTestbed",
-    "NodeWatchdog",
-    "ResourceProfiler",
-    "ServiceLoadSpec",
-    "UtilisationSampler",
-    "InvalidRequestError",
-    "LeastConnectionsPolicy",
-    "MachineConfig",
-    "NodeAssignment",
-    "PlacementStrategy",
-    "RandomPolicy",
-    "ReactiveAutoscaler",
-    "Request",
-    "RequestSheddedError",
-    "ResourceRequirement",
-    "RoundRobinPolicy",
-    "SLOWDOWN_INFLATION",
-    "SODAAgent",
-    "SODADaemon",
-    "SODAError",
-    "SODAMaster",
-    "ServiceConfigFile",
-    "ServiceNotFoundError",
-    "ServiceRecord",
-    "ServiceState",
-    "ServiceSwitch",
-    "SwitchingPolicy",
-    "VirtualServiceNode",
-    "WeightedRoundRobinPolicy",
-    "build_paper_testbed",
-    "plan_allocation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "agent": ["SODAAgent"],
+    "allocation": [
+        "AllocationPlan",
+        "NodeAssignment",
+        "PlacementStrategy",
+        "SLOWDOWN_INFLATION",
+        "plan_allocation",
+    ],
+    "api": ["HUPTestbed", "build_paper_testbed"],
+    "auth": ["ASPAccount", "ASPRegistry"],
+    "autoscaler": ["AutoscalerConfig", "ReactiveAutoscaler"],
+    "billing": ["BillingLedger"],
+    "config": ["BackEndDirective", "ServiceConfigFile"],
+    "daemon": ["SODADaemon"],
+    "errors": [
+        "AdmissionError",
+        "AuthenticationError",
+        "InvalidRequestError",
+        "RequestSheddedError",
+        "ServiceNotFoundError",
+        "SODAError",
+    ],
+    "federation": ["FederatedHUP"],
+    "master": ["SODAMaster"],
+    "monitoring": ["HUPMonitor", "UtilisationSampler"],
+    "node": ["Request", "VirtualServiceNode"],
+    "profiling": ["ResourceProfiler", "ServiceLoadSpec"],
+    "recovery": ["NodeWatchdog"],
+    "policies": [
+        "LeastConnectionsPolicy",
+        "RandomPolicy",
+        "RoundRobinPolicy",
+        "SwitchingPolicy",
+        "WeightedRoundRobinPolicy",
+    ],
+    "requirements": ["MachineConfig", "ResourceRequirement"],
+    "service": ["ServiceRecord", "ServiceState"],
+    "switch": ["ServiceSwitch"],
+})

@@ -23,6 +23,8 @@ Every module exposes ``run(seed=0, fast=False) -> ExperimentResult``;
 :mod:`repro.experiments.runner` CLI runs any or all of them.
 """
 
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro._lazy import lazy_exports
 
-__all__ = ["EXPERIMENTS", "run_experiment"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "runner": ["EXPERIMENTS", "run_experiment"],
+})

@@ -19,22 +19,11 @@ Everything is a pure function of (seed, schedule): same inputs, same
 fault log, same digests — with observability on or off.
 """
 
-from repro.faults.health import SwitchHealthChecker
-from repro.faults.injector import FaultInjector
-from repro.faults.retry import BackoffPolicy
-from repro.faults.schedule import (
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    seeded_campaign,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackoffPolicy",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSchedule",
-    "SwitchHealthChecker",
-    "seeded_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "health": ["SwitchHealthChecker"],
+    "injector": ["FaultInjector"],
+    "retry": ["BackoffPolicy"],
+    "schedule": ["FaultEvent", "FaultKind", "FaultSchedule", "seeded_campaign"],
+})

@@ -23,30 +23,13 @@ host OS (paper §4.2).  This package models that layer:
   rendering (Figure 3).
 """
 
-from repro.guestos.boot import BootPlan, BootTimeModel
-from repro.guestos.proc import GuestProcess, ProcessState, ProcessTable
-from repro.guestos.rootfs import RootFilesystem, TailoringError
-from repro.guestos.services import (
-    ServiceRegistry,
-    SystemService,
-    default_registry,
-)
-from repro.guestos.syscall import SyscallCostModel
-from repro.guestos.uml import UmlError, UmlState, UserModeLinux
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BootPlan",
-    "BootTimeModel",
-    "GuestProcess",
-    "ProcessState",
-    "ProcessTable",
-    "RootFilesystem",
-    "ServiceRegistry",
-    "SyscallCostModel",
-    "SystemService",
-    "TailoringError",
-    "UmlError",
-    "UmlState",
-    "UserModeLinux",
-    "default_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "boot": ["BootPlan", "BootTimeModel"],
+    "proc": ["GuestProcess", "ProcessState", "ProcessTable"],
+    "rootfs": ["RootFilesystem", "TailoringError"],
+    "services": ["ServiceRegistry", "SystemService", "default_registry"],
+    "syscall": ["SyscallCostModel"],
+    "uml": ["UmlError", "UmlState", "UserModeLinux"],
+})

@@ -20,32 +20,13 @@ Models one HUP host's operating system and hardware as seen by SODA:
   alternative of footnote 3.
 """
 
-from repro.host.bridge import BridgingModule, ProxyModule
-from repro.host.machine import Host, make_seattle, make_tacoma, paper_testbed_hosts
-from repro.host.memory import MemoryError_, MemoryManager
-from repro.host.reservation import Reservation, ReservationError, ReservationManager
-from repro.host.scheduler import (
-    ProportionalShareScheduler,
-    TaskGroup,
-    VanillaLinuxScheduler,
-)
-from repro.host.traffic import TokenBucket, TrafficShaper
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BridgingModule",
-    "Host",
-    "MemoryError_",
-    "MemoryManager",
-    "ProportionalShareScheduler",
-    "ProxyModule",
-    "Reservation",
-    "ReservationError",
-    "ReservationManager",
-    "TaskGroup",
-    "TokenBucket",
-    "TrafficShaper",
-    "VanillaLinuxScheduler",
-    "make_seattle",
-    "make_tacoma",
-    "paper_testbed_hosts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bridge": ["BridgingModule", "ProxyModule"],
+    "machine": ["Host", "make_seattle", "make_tacoma", "paper_testbed_hosts"],
+    "memory": ["MemoryError_", "MemoryManager"],
+    "reservation": ["Reservation", "ReservationError", "ReservationManager"],
+    "scheduler": ["ProportionalShareScheduler", "TaskGroup", "VanillaLinuxScheduler"],
+    "traffic": ["TokenBucket", "TrafficShaper"],
+})

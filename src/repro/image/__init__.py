@@ -17,28 +17,17 @@ models that pipeline:
   the paper's Table 2 (S_I .. S_IV).
 """
 
-from repro.image.image import ServiceComponent, ServiceImage
-from repro.image.profiles import (
-    make_s1_web_content,
-    make_s2_honeypot,
-    make_s3_lfs,
-    make_s4_full_server,
-    paper_profiles,
-)
-from repro.image.repository import ImageRepository, UnknownImage
-from repro.image.rpm import DependencyError, RpmPackage, resolve_dependencies
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DependencyError",
-    "ImageRepository",
-    "RpmPackage",
-    "ServiceComponent",
-    "ServiceImage",
-    "UnknownImage",
-    "make_s1_web_content",
-    "make_s2_honeypot",
-    "make_s3_lfs",
-    "make_s4_full_server",
-    "paper_profiles",
-    "resolve_dependencies",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "image": ["ServiceComponent", "ServiceImage"],
+    "profiles": [
+        "make_s1_web_content",
+        "make_s2_honeypot",
+        "make_s3_lfs",
+        "make_s4_full_server",
+        "paper_profiles",
+    ],
+    "repository": ["ImageRepository", "UnknownImage"],
+    "rpm": ["DependencyError", "RpmPackage", "resolve_dependencies"],
+})

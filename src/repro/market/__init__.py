@@ -11,39 +11,13 @@ harness that ablates market against FCFS admission
 (:mod:`repro.market.scenario`, surfaced as ``ablation-market``).
 """
 
-from repro.market.admission import (
-    AdmissionDecision,
-    EconomicAdmission,
-    FCFSAdmission,
-    MarketAdmissionHook,
-)
-from repro.market.fairness import FairnessAccountant, jains_index
-from repro.market.placement import cheapest_spot_price
-from repro.market.pricing import PricingParams, SpotPricer, reprice
-from repro.market.scenario import (
-    MarketReport,
-    ScenarioParams,
-    fast_params,
-    run_market_scenario,
-)
-from repro.market.tenant import BudgetExceededError, Tenant, TenantRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "BudgetExceededError",
-    "EconomicAdmission",
-    "FCFSAdmission",
-    "FairnessAccountant",
-    "MarketAdmissionHook",
-    "MarketReport",
-    "PricingParams",
-    "ScenarioParams",
-    "SpotPricer",
-    "Tenant",
-    "TenantRegistry",
-    "cheapest_spot_price",
-    "fast_params",
-    "jains_index",
-    "reprice",
-    "run_market_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "admission": ["AdmissionDecision", "EconomicAdmission", "FCFSAdmission", "MarketAdmissionHook"],
+    "fairness": ["FairnessAccountant", "jains_index"],
+    "placement": ["cheapest_spot_price"],
+    "pricing": ["PricingParams", "SpotPricer", "reprice"],
+    "scenario": ["MarketReport", "ScenarioParams", "fast_params", "run_market_scenario"],
+    "tenant": ["BudgetExceededError", "Tenant", "TenantRegistry"],
+})

@@ -94,12 +94,18 @@ class ScenarioParams:
             raise ValueError(f"need at least one tenant: {self.n_tenants}")
         if self.capacity_units < 1:
             raise ValueError(f"need capacity: {self.capacity_units}")
-        if self.duration_s <= 0 or self.mean_hold_s <= 0:
-            raise ValueError("duration and hold time must be positive")
         if not 1 <= self.max_units:
             raise ValueError(f"max_units must be >= 1: {self.max_units}")
-        if self.load_factor <= 0 or self.burst_factor < 1:
-            raise ValueError("load_factor must be > 0 and burst_factor >= 1")
+        # Every ordered comparison with NaN is false, so a bare `x <= 0`
+        # lets NaN through (a NaN burst mean never flips the envelope).
+        for name in ("duration_s", "mean_hold_s", "mean_calm_s", "mean_burst_s", "load_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite: {value!r}")
+        if not (math.isfinite(self.patience_s) and self.patience_s >= 0):
+            raise ValueError(f"patience_s must be finite and >= 0: {self.patience_s!r}")
+        if not (math.isfinite(self.burst_factor) and self.burst_factor >= 1):
+            raise ValueError(f"burst_factor must be finite and >= 1: {self.burst_factor!r}")
 
     @property
     def arrival_rate_rps(self) -> float:

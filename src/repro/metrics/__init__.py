@@ -8,15 +8,9 @@
   returns; EXPERIMENTS.md is generated from these.
 """
 
-from repro.metrics.report import Comparison, ExperimentResult, render_chart, render_table
-from repro.metrics.stats import confidence_interval_95, linear_fit, summarize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Comparison",
-    "ExperimentResult",
-    "confidence_interval_95",
-    "linear_fit",
-    "render_chart",
-    "render_table",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "report": ["Comparison", "ExperimentResult", "render_chart", "render_table"],
+    "stats": ["confidence_interval_95", "linear_fit", "summarize"],
+})

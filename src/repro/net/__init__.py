@@ -11,17 +11,10 @@ Models the paper's 100 Mbps departmental LAN (§4) at flow granularity:
   exchanges.
 """
 
-from repro.net.http import HttpModel, HttpTransferStats
-from repro.net.ip import IPAddressPool, IPPoolExhausted, parse_ipv4
-from repro.net.lan import LAN, Flow, NetworkInterface
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LAN",
-    "Flow",
-    "HttpModel",
-    "HttpTransferStats",
-    "IPAddressPool",
-    "IPPoolExhausted",
-    "NetworkInterface",
-    "parse_ipv4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "http": ["HttpModel", "HttpTransferStats"],
+    "ip": ["IPAddressPool", "IPPoolExhausted", "parse_ipv4"],
+    "lan": ["LAN", "Flow", "NetworkInterface"],
+})

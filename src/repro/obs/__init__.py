@@ -42,70 +42,39 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List, Optional
 
-from repro.obs.export import (
-    breakdown_table,
-    chrome_trace,
-    flame_summary,
-    load_federation_profile,
-    load_spans_json,
-    spans_payload,
-    write_chrome_trace,
-    write_federation_profile,
-    write_spans_json,
-)
-from repro.obs.federation import (
-    FederatedMetrics,
-    FederationObsResult,
-    FederationObservability,
-    FederationProfiler,
-    TraceContext,
-    merge_shard_spans,
-    trace_completeness,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry_of,
-)
-from repro.obs.profiler import KernelProfiler, profiler_of
-from repro.obs.prometheus import render as render_prometheus
-from repro.obs.tracing import RequestTracer, Span, SpanContext, tracer_of
+from repro._lazy import lazy_exports
+# Bound here, not lazily: ambient_registry() and Observability use it,
+# and every workload reads obs.metrics anyway (the map below still lists
+# it, so it stays in ``__all__``).
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = [
-    "Observability",
-    "active",
-    "ambient_registry",
-    "RequestTracer",
-    "Span",
-    "SpanContext",
-    "tracer_of",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "registry_of",
-    "KernelProfiler",
-    "profiler_of",
-    "render_prometheus",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_spans_json",
-    "spans_payload",
-    "load_spans_json",
-    "write_federation_profile",
-    "load_federation_profile",
-    "flame_summary",
-    "breakdown_table",
-    "TraceContext",
-    "FederationObservability",
-    "FederatedMetrics",
-    "FederationProfiler",
-    "FederationObsResult",
-    "merge_shard_spans",
-    "trace_completeness",
-]
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    "export": [
+        "breakdown_table",
+        "chrome_trace",
+        "flame_summary",
+        "load_federation_profile",
+        "load_spans_json",
+        "spans_payload",
+        "write_chrome_trace",
+        "write_federation_profile",
+        "write_spans_json",
+    ],
+    "federation": [
+        "FederatedMetrics",
+        "FederationObsResult",
+        "FederationObservability",
+        "FederationProfiler",
+        "TraceContext",
+        "merge_shard_spans",
+        "trace_completeness",
+    ],
+    "metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry", "registry_of"],
+    "profiler": ["KernelProfiler", "profiler_of"],
+    "prometheus": ["render_prometheus"],
+    "tracing": ["RequestTracer", "Span", "SpanContext", "tracer_of"],
+})
+__all__ = ["Observability", "active", "ambient_registry", *_LAZY]
 
 #: Stack of ambiently activated hubs; newest wins.
 _ACTIVE: List["Observability"] = []
@@ -133,6 +102,9 @@ class Observability:
         profile: bool = False,
         span_capacity: Optional[int] = None,
     ):
+        from repro.obs.profiler import KernelProfiler
+        from repro.obs.tracing import RequestTracer
+
         self.tracer: Optional[RequestTracer] = (
             RequestTracer(capacity=span_capacity) if tracing else None
         )
@@ -174,26 +146,36 @@ class Observability:
     def prometheus(self) -> str:
         if self.registry is None:
             raise ValueError("metrics are disabled on this hub")
-        return render_prometheus(self.registry)
+        from repro.obs.prometheus import render
+
+        return render(self.registry)
 
     def flame_summary(self, top: int = 0) -> str:
         if self.tracer is None:
             raise ValueError("tracing is disabled on this hub")
+        from repro.obs.export import flame_summary
+
         return flame_summary(self.tracer.spans(), top=top)
 
     def breakdown(self, limit: int = 0) -> str:
         if self.tracer is None:
             raise ValueError("tracing is disabled on this hub")
+        from repro.obs.export import breakdown_table
+
         return breakdown_table(self.tracer.requests(), limit=limit)
 
     def write_spans(self, path: str) -> None:
         if self.tracer is None:
             raise ValueError("tracing is disabled on this hub")
+        from repro.obs.export import write_spans_json
+
         write_spans_json(path, self.tracer.spans())
 
     def write_chrome_trace(self, path: str) -> None:
         if self.tracer is None:
             raise ValueError("tracing is disabled on this hub")
+        from repro.obs.export import write_chrome_trace
+
         write_chrome_trace(path, self.tracer.spans())
 
     def write_prometheus(self, path: str) -> None:

@@ -83,3 +83,7 @@ def render(registry: MetricsRegistry) -> str:
                     f" {format_value(child.value)}"  # type: ignore[union-attr]
                 )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+#: The name :mod:`repro.obs` re-exports :func:`render` under.
+render_prometheus = render

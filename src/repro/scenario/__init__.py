@@ -8,37 +8,21 @@ the CLI; the ``scenario-matrix`` experiment fans scenario x policy x
 seed cells.
 """
 
-from repro.scenario.compile import CompiledScenario, compile_scenario
-from repro.scenario.library import LIBRARY, get_scenario, list_scenarios
-from repro.scenario.run import POLICIES, ScenarioReport, run_scenario
-from repro.scenario.spec import (
-    ArrivalModel,
-    BurstEnvelope,
-    ConstantArrivals,
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    ReplayArrivals,
-    ScenarioSpec,
-    SizeModel,
-    TenantLoad,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalModel",
-    "BurstEnvelope",
-    "CompiledScenario",
-    "ConstantArrivals",
-    "DiurnalArrivals",
-    "FlashCrowdArrivals",
-    "LIBRARY",
-    "POLICIES",
-    "ReplayArrivals",
-    "ScenarioReport",
-    "ScenarioSpec",
-    "SizeModel",
-    "TenantLoad",
-    "compile_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "compile": ["CompiledScenario", "compile_scenario"],
+    "library": ["LIBRARY", "get_scenario", "list_scenarios"],
+    "run": ["POLICIES", "ScenarioReport", "run_scenario"],
+    "spec": [
+        "ArrivalModel",
+        "BurstEnvelope",
+        "ConstantArrivals",
+        "DiurnalArrivals",
+        "FlashCrowdArrivals",
+        "ReplayArrivals",
+        "ScenarioSpec",
+        "SizeModel",
+        "TenantLoad",
+    ],
+})

@@ -15,33 +15,20 @@ deterministic: two runs with the same seed produce identical event
 orderings and identical measurements.
 """
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from repro.sim.monitor import Monitor, TimeWeightedMonitor
-from repro.sim.resources import Container, Resource, Store
-from repro.sim.rng import RandomStreams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "Event",
-    "Interrupt",
-    "Monitor",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "TimeWeightedMonitor",
-    "Timeout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kernel": [
+        "AllOf",
+        "AnyOf",
+        "Event",
+        "Interrupt",
+        "Process",
+        "SimulationError",
+        "Simulator",
+        "Timeout",
+    ],
+    "monitor": ["Monitor", "TimeWeightedMonitor"],
+    "resources": ["Container", "Resource", "Store"],
+    "rng": ["RandomStreams"],
+})

@@ -26,43 +26,17 @@ the control plane through duck-typed hooks, which is also what keeps
 the imports acyclic.
 """
 
-from repro.sla.contract import (
-    LatencyObjective,
-    PenaltySchedule,
-    ServiceClass,
-    SLAContract,
-)
-from repro.sla.enforcement import (
-    BreachEscalator,
-    ClassPriorityShedder,
-    check_admissible,
-    estimate_capacity_rps,
-)
-from repro.sla.monitor import SLAViolation, SLOMonitor
-from repro.sla.penalties import PenaltySettler, Settlement, credit_for_violations
-from repro.sla.report import (
-    ComplianceSummary,
-    compliance_result,
-    compliance_summary,
-    export_compliance,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BreachEscalator",
-    "ClassPriorityShedder",
-    "ComplianceSummary",
-    "LatencyObjective",
-    "PenaltySchedule",
-    "PenaltySettler",
-    "SLAContract",
-    "SLAViolation",
-    "SLOMonitor",
-    "ServiceClass",
-    "Settlement",
-    "check_admissible",
-    "compliance_result",
-    "compliance_summary",
-    "credit_for_violations",
-    "estimate_capacity_rps",
-    "export_compliance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "contract": ["LatencyObjective", "PenaltySchedule", "ServiceClass", "SLAContract"],
+    "enforcement": [
+        "BreachEscalator",
+        "ClassPriorityShedder",
+        "check_admissible",
+        "estimate_capacity_rps",
+    ],
+    "monitor": ["SLAViolation", "SLOMonitor"],
+    "penalties": ["PenaltySettler", "Settlement", "credit_for_violations"],
+    "report": ["ComplianceSummary", "compliance_result", "compliance_summary", "export_compliance"],
+})

@@ -17,22 +17,11 @@
   by the scenario and chaos harnesses.
 """
 
-from repro.workload.apps import (
-    honeypot_probe_request,
-    web_request,
-    web_request_mix,
-)
-from repro.workload.attack import AttackCampaign, AttackOutcome
-from repro.workload.clients import ClientPool
-from repro.workload.siege import Siege, SiegeReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackCampaign",
-    "AttackOutcome",
-    "ClientPool",
-    "Siege",
-    "SiegeReport",
-    "honeypot_probe_request",
-    "web_request",
-    "web_request_mix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "apps": ["honeypot_probe_request", "web_request", "web_request_mix"],
+    "attack": ["AttackCampaign", "AttackOutcome"],
+    "clients": ["ClientPool"],
+    "siege": ["Siege", "SiegeReport"],
+})

@@ -60,12 +60,23 @@ class ArrivalTrace:
         return count / (end - start)
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a non-positive or non-finite argument where it enters.
+
+    A NaN or infinite horizon never satisfies ``t >= duration_s``, so the
+    builders below would append arrivals forever; a NaN period makes
+    every thinning probability NaN and silently yields an empty trace.
+    """
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def poisson_trace(
     streams: RandomStreams, rate_rps: float, duration_s: float, dataset_mb: float = 0.25
 ) -> ArrivalTrace:
     """A homogeneous Poisson trace."""
-    if rate_rps <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
+    _require_positive(rate_rps=rate_rps, duration_s=duration_s)
     arrivals: List[Tuple[float, float]] = []
     t = 0.0
     while True:
@@ -96,8 +107,7 @@ def thinned_trace(
     function of ``(streams, arguments)`` — the scenario layer's
     purity/digest contract rests on this.
     """
-    if max_rate <= 0 or duration_s <= 0:
-        raise ValueError("max rate and duration must be positive")
+    _require_positive(max_rate=max_rate, duration_s=duration_s)
     arrivals: List[Tuple[float, float]] = []
     t = 0.0
     while True:
@@ -131,10 +141,9 @@ def diurnal_trace(
     :func:`poisson_trace` — same draws, same arrivals, arrival for
     arrival (pinned by a regression test).
     """
-    if base_rps <= 0 or duration_s <= 0 or period_s <= 0:
-        raise ValueError("rates, period and duration must be positive")
-    if peak_factor < 1:
-        raise ValueError(f"peak factor must be >= 1, got {peak_factor}")
+    _require_positive(base_rps=base_rps, period_s=period_s, duration_s=duration_s)
+    if not (math.isfinite(peak_factor) and peak_factor >= 1):
+        raise ValueError(f"peak_factor must be finite and >= 1, got {peak_factor!r}")
     if peak_factor == 1:
         return poisson_trace(streams, base_rps, duration_s, dataset_mb)
     swing = (peak_factor - 1.0) / 2.0

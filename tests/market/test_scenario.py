@@ -1,5 +1,8 @@
 """The market contention scenario: invariants and market-vs-FCFS facts."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.market import fast_params, run_market_scenario
@@ -76,3 +79,27 @@ def test_same_seed_same_digest():
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         run_market_scenario(seed=0, policy="communism", params=PARAMS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "duration_s", "mean_hold_s", "mean_calm_s", "mean_burst_s",
+        "patience_s", "load_factor", "burst_factor",
+    ],
+)
+def test_params_reject_non_finite_floats(field, bad):
+    with pytest.raises(ValueError, match=field):
+        replace(fast_params(50.0, 10), **{field: bad})
+
+
+@pytest.mark.parametrize("field", ["mean_hold_s", "mean_calm_s", "mean_burst_s"])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_params_reject_non_positive_means(field, bad):
+    with pytest.raises(ValueError, match=field):
+        replace(fast_params(50.0, 10), **{field: bad})
+
+
+def test_params_accept_zero_patience():
+    assert replace(fast_params(50.0, 10), patience_s=0.0).patience_s == 0.0

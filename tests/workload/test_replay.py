@@ -1,9 +1,11 @@
 """Tests for arrival traces and their replay through ``Siege.run_trace``."""
 
+import math
+
 import pytest
 
 from repro.sim import RandomStreams
-from repro.workload.replay import ArrivalTrace, diurnal_trace, poisson_trace
+from repro.workload.replay import ArrivalTrace, diurnal_trace, poisson_trace, thinned_trace
 from repro.workload.siege import Siege
 
 
@@ -43,6 +45,41 @@ def test_diurnal_trace_peaks_and_troughs():
     assert peak_rate > 2.5 * trough_rate
     with pytest.raises(ValueError):
         diurnal_trace(streams, 5.0, 0.5, 100.0, 10.0)
+
+
+def _poisson(rate_rps=1.0, duration_s=10.0):
+    return poisson_trace(RandomStreams(seed=0), rate_rps, duration_s)
+
+
+def _thinned(max_rate=1.0, duration_s=10.0):
+    return thinned_trace(
+        RandomStreams(seed=0), lambda _t: 0.5, max_rate, duration_s, lambda _t: 0.25
+    )
+
+
+def _diurnal(base_rps=1.0, peak_factor=2.0, period_s=10.0, duration_s=10.0):
+    return diurnal_trace(RandomStreams(seed=0), base_rps, peak_factor, period_s, duration_s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build, arg",
+    [
+        (_poisson, "rate_rps"),
+        (_poisson, "duration_s"),
+        (_thinned, "max_rate"),
+        (_thinned, "duration_s"),
+        (_diurnal, "base_rps"),
+        (_diurnal, "peak_factor"),
+        (_diurnal, "period_s"),
+        (_diurnal, "duration_s"),
+    ],
+)
+def test_builders_reject_non_finite_arguments(build, arg, bad):
+    # A NaN or infinite horizon used to append arrivals forever; a NaN
+    # period used to yield an empty trace without complaint.
+    with pytest.raises(ValueError, match=arg):
+        build(**{arg: bad})
 
 
 def test_rate_in_validation():
