@@ -72,10 +72,10 @@ scalar for every group size: a NumPy fill of wide groups never beat it
 
 Heap entries
 ------------
-The flush and the completion wake-up are pushed as direct-resume heap
-entries whose owners (one ``_CallbackShim`` for the flush, one
-``_WakeShim`` for the wake-up, which reads its generation from the
-entry's value slot) live as long as the LAN, so neither allocates an
+The flush and the completion wake-up are pushed as direct heap entries
+whose owners (one ``_CallbackShim`` for the flush, one ``_WakeShim``
+for the wake-up, which reads its generation from the entry's trigger
+slot) live as long as the LAN, so neither allocates an
 event or closure per push.  Each entry takes the ``(time, priority,
 seq)`` key the ``call_soon`` callback or ``Timeout`` it replaced would
 have taken, so firing order is unchanged.  LAN and kernel optimizations
@@ -245,12 +245,12 @@ class _WakeShim(_CallbackShim):
     """Owner of the LAN's completion wake-up heap entries.
 
     One per LAN.  Each armed wake-up carries its generation in the heap
-    entry's value slot, so arming one allocates nothing but the entry.
+    entry's trigger slot, so arming one allocates nothing but the entry.
     """
 
     __slots__ = ()
 
-    def _resume_direct(self, ok: object, generation: object, exception: object) -> None:
+    def _resume(self, generation: object) -> None:
         self._callback(generation)
 
 
@@ -415,7 +415,7 @@ class LAN:
         # _mark_dirty, inlined: this runs once per transfer.
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT)
+            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)
         return flow
 
     # -- fluid-model internals ----------------------------------------------
@@ -427,7 +427,7 @@ class LAN:
             self._loopback_dirty = True
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT)
+            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)
 
     def _flush(self) -> None:
         """Drain, recompute affected groups, and re-arm the wake-up."""
@@ -457,7 +457,7 @@ class LAN:
                     next_completion = dt
         if next_completion < math.inf:
             self.sim._schedule_direct(
-                self._wake_shim, NORMAL, next_completion, self._wake_generation
+                self._wake_shim, NORMAL, self.sim._now + next_completion, self._wake_generation
             )
 
     def _advance(self) -> None:
@@ -612,4 +612,4 @@ class LAN:
         self._advance()
         if not self._flush_pending:  # _mark_dirty(), inlined
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT)
+            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)

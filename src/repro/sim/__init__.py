@@ -3,7 +3,7 @@
 This package provides the deterministic discrete-event substrate on which
 the whole SODA reproduction runs: an event heap with a simulated clock
 (:mod:`repro.sim.kernel`), generator-based simulated processes with
-interrupt support, capacity-limited resources and stores
+interrupt support, a capacity-limited FIFO resource
 (:mod:`repro.sim.resources`), seeded named random streams
 (:mod:`repro.sim.rng`) and measurement monitors
 (:mod:`repro.sim.monitor`).
@@ -29,6 +29,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Timeout",
     ],
     "monitor": ["Monitor", "TimeWeightedMonitor"],
-    "resources": ["Container", "Resource", "Store"],
+    "resources": ["Resource"],
     "rng": ["RandomStreams"],
 })

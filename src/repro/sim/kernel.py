@@ -27,19 +27,27 @@ The kernel is the innermost loop of every experiment, so it avoids
 allocations where the event machinery is pure plumbing:
 
 * All event classes use ``__slots__``.
-* Process bootstraps, interrupt delivery, and resumption on an
-  already-processed event do not allocate throwaway :class:`Event`
-  objects.  They push a *direct-resume* heap entry instead —
-  ``(time, priority, seq, None, process, ok, value, exception)`` — which
-  the run loop dispatches straight into :meth:`Process._resume_direct`.
-  Heap entries of both shapes share the ``(time, priority, seq)`` prefix
-  and ``seq`` is unique, so tuple comparison never reaches the payload
-  and the documented firing order is preserved bit-for-bit.
+* The heap holds two entry shapes (see :class:`Simulator`): a triggered
+  event, ``(time, priority, seq, event)``, and a *direct* entry,
+  ``(time, priority, seq, None, owner, trigger)``, which the run loop
+  dispatches straight into ``owner._resume(trigger)``.  A process has
+  one resume body, :meth:`Process._resume`, whether an event's callback
+  or a direct entry calls it.  A direct entry's trigger is the
+  already-processed event the process yielded, the shared
+  already-succeeded sentinel (bootstraps, callbacks), or an unscheduled
+  failed :class:`Event` carrying the :class:`Interrupt`; no throwaway
+  event is ever scheduled.  Both shapes share the ``(time, priority,
+  seq)`` prefix and ``seq`` is unique, so tuple comparison never reaches
+  the payload and the documented firing order is preserved bit-for-bit.
 * :class:`Timeout` schedules itself inline instead of going through the
   generic ``Event`` constructor plus :meth:`Simulator._schedule`.
 * A component that pushes the same callback over and over (the LAN's
-  flush and completion wake-up) keeps one direct-resume owner and
-  pushes it with :meth:`Simulator._schedule_direct`.
+  flush and completion wake-up) keeps one direct-entry owner and pushes
+  it with :meth:`Simulator._schedule_direct`.
+
+``tests/sim/test_kernel_reference.py`` holds a plain reference
+simulator (one heap, one entry shape, no inlining) that this kernel must
+match event for event on random process programs.
 """
 
 from __future__ import annotations
@@ -152,19 +160,6 @@ class Event:
         self.sim._schedule(self, URGENT)
         return self
 
-    def _resolve(self) -> None:
-        """Run callbacks. Called exactly once by the kernel.
-
-        NOTE: the hot loops in :meth:`Simulator.run` and
-        :meth:`Simulator.run_until_process` inline this body instead of
-        calling it (only :meth:`Simulator.step` dispatches here), so
-        subclasses must not override it — an override would only take
-        effect under ``step()``.
-        """
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "pending"
         if self.processed:
@@ -172,6 +167,13 @@ class Event:
         elif self.triggered:
             state = "triggered"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+# The trigger of every bootstrap and callback direct entry: an
+# already-processed success with no value.
+_SUCCEEDED = Event(None)  # type: ignore[arg-type]
+_SUCCEEDED._ok = True
+_SUCCEEDED.callbacks = None
 
 
 class Timeout(Event):
@@ -295,9 +297,8 @@ class Process(Event):
         # the resume step drop it: a finished process is then freed by
         # refcount instead of waiting for the cyclic GC.
         self._resume_cb = self._resume
-        # Bootstrap: resume immediately (at current sim time) via a
-        # direct-resume heap entry (no throwaway Event).
-        sim._schedule_resume(self, True, None, None)
+        # Bootstrap: resume at the current instant via a direct entry.
+        sim._schedule_direct(self, URGENT, sim._now)
 
     @property
     def is_alive(self) -> bool:
@@ -318,16 +319,21 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        self.sim._schedule_resume(self, False, None, Interrupt(cause))
+        sim = self.sim
+        interrupt = Event(sim)  # failed, never scheduled: only a trigger
+        interrupt._ok = False
+        interrupt._exception = Interrupt(cause)
+        sim._schedule_direct(self, URGENT, sim._now, interrupt)
 
-    # NOTE: _resume and _resume_direct share one body, duplicated on
-    # purpose — this is the innermost step of every simulation and a
-    # delegation call per event costs ~5%.  Keep the two in sync.
     def _resume(self, trigger: Event) -> None:
-        """Advance the generator with ``trigger``'s outcome (callback form)."""
+        """Advance the generator with ``trigger``'s outcome.
+
+        The one resume body: an event's callback and a direct heap entry
+        (bootstrap, interrupt, already-processed yield) both land here.
+        """
         if self._ok is not None:
-            # Process was already finished (e.g. interrupted and completed
-            # before a stale event fired); drop the wakeup.
+            # Stale wake-up: the process finished after this entry was
+            # queued (e.g. an interrupt behind a direct resume); drop it.
             return
         self._target = None
         sim = self.sim
@@ -359,60 +365,12 @@ class Process(Event):
         except AttributeError:
             self._yield_error(next_event)
             return  # unreachable: _yield_error raises
+        self._target = next_event
         if callbacks is None:
-            # Already processed: resume at the same timestamp via a
-            # direct-resume entry (no throwaway Event allocation).
-            self._target = next_event
-            sim._schedule_resume(
-                self, next_event._ok, next_event._value, next_event._exception
-            )
+            # Already processed: resume at this instant, with the event
+            # itself as the direct entry's trigger.
+            sim._schedule_direct(self, URGENT, sim._now, next_event)
         else:
-            self._target = next_event
-            callbacks.append(self._resume_cb)
-
-    def _resume_direct(
-        self, ok: Optional[bool], value: Any, exception: Optional[BaseException]
-    ) -> None:
-        """Advance the generator by one step with the given outcome."""
-        if self._ok is not None:
-            # Stale wakeup (see _resume): drop it.
-            return
-        self._target = None
-        sim = self.sim
-        sim._active_process = self
-        try:
-            if exception is not None:
-                next_event = self._generator.throw(exception)
-            else:
-                next_event = self._generator.send(value)
-        except StopIteration as stop:
-            sim._active_process = None
-            self._resume_cb = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            sim._active_process = None
-            self._resume_cb = None
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            unawaited = not self.callbacks
-            self.fail(exc)
-            if unawaited:
-                raise
-            return
-        sim._active_process = None
-        try:
-            callbacks = next_event.callbacks
-        except AttributeError:
-            self._yield_error(next_event)
-            return  # unreachable: _yield_error raises
-        if callbacks is None:
-            self._target = next_event
-            sim._schedule_resume(
-                self, next_event._ok, next_event._value, next_event._exception
-            )
-        else:
-            self._target = next_event
             callbacks.append(self._resume_cb)
 
     def _yield_error(self, yielded: Any) -> None:
@@ -436,8 +394,14 @@ class Simulator:
 
     * ``(time, priority, seq, event)`` — a triggered :class:`Event`
       whose callbacks run at ``time``.
-    * ``(time, priority, seq, None, process, ok, value, exception)`` — a
-      direct resume of ``process`` with the given outcome.
+    * ``(time, priority, seq, None, owner, trigger)`` — a direct entry:
+      ``owner._resume(trigger)`` runs at ``time``.  A :class:`Process`
+      owner resumes with the trigger's outcome; the trigger is the
+      already-processed event it yielded, the shared already-succeeded
+      sentinel (a bootstrap), or an unscheduled failed :class:`Event`
+      carrying an :class:`Interrupt`.  A callback owner
+      (:meth:`call_soon`, :meth:`schedule_at`) ignores the sentinel it
+      is given; the LAN's wake-up owner reads its generation from it.
 
     An exception escaping a process generator fails the Process event,
     and every process (or condition) waiting on it receives it.  A
@@ -519,39 +483,24 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, priority: int) -> None:
         self._seq += 1
-        _heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
-    def _schedule_resume(
-        self,
-        process: Process,
-        ok: Optional[bool],
-        value: Any,
-        exception: Optional[BaseException],
-    ) -> None:
-        """Schedule a direct resume of ``process`` at the current instant."""
-        self._seq += 1
-        _heappush(
-            self._heap, (self._now, URGENT, self._seq, None, process, ok, value, exception)
-        )
+        _heappush(self._heap, (self._now, priority, self._seq, event))
 
     def _schedule_direct(
-        self, owner: Any, priority: int, delay: float = 0.0, value: Any = None
+        self, owner: Any, priority: int, time: float, trigger: Any = _SUCCEEDED
     ) -> None:
-        """Schedule ``owner._resume_direct(True, value, None)`` ``delay`` from now.
+        """Schedule ``owner._resume(trigger)`` at absolute time ``time``.
 
-        The entry takes the next sequence number and the same
-        ``now + delay`` time as a :class:`Timeout` or :meth:`call_soon`
-        created at this point, so it sorts exactly where they would.
-        Hot-path components (the LAN's flush and completion wake-up)
-        keep one ``owner`` for their lifetime instead of allocating an
-        event or shim per push.
+        The one push of a direct entry.  It takes the next sequence
+        number, so at ``time == now + delay`` it sorts exactly where a
+        :class:`Timeout` or :meth:`call_soon` created at this point
+        would.  Hot-path components (the LAN's flush and completion
+        wake-up) keep one ``owner`` for their lifetime instead of
+        allocating an event or shim per push.
         """
         self._seq += 1
-        _heappush(
-            self._heap, (self._now + delay, priority, self._seq, None, owner, True, value, None)
-        )
+        _heappush(self._heap, (time, priority, self._seq, None, owner, trigger))
 
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at the current instant with URGENT priority.
@@ -562,7 +511,7 @@ class Simulator:
         (the LAN's batched rate recomputation does this through
         :meth:`_schedule_direct` with an owner it reuses).
         """
-        self._schedule_direct(_CallbackShim(callback), URGENT)
+        self._schedule_direct(_CallbackShim(callback), URGENT, self._now)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], priority: int = NORMAL
@@ -582,11 +531,7 @@ class Simulator:
             raise ValueError(
                 f"schedule_at({time}) is in the past (now={self._now})"
             )
-        self._seq += 1
-        _heappush(
-            self._heap,
-            (time, priority, self._seq, None, _CallbackShim(callback), True, None, None),
-        )
+        self._schedule_direct(_CallbackShim(callback), priority, time)
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
@@ -602,9 +547,12 @@ class Simulator:
         self._now = entry[0]
         target = entry[3]
         if target is None:
-            entry[4]._resume_direct(entry[5], entry[6], entry[7])
+            entry[4]._resume(entry[5])
         else:
-            target._resolve()
+            callbacks = target.callbacks
+            target.callbacks = None
+            for callback in callbacks:
+                callback(target)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains, or the clock reaches ``until``.
@@ -638,7 +586,7 @@ class Simulator:
             if profiler is None:
                 target = entry[3]
                 if target is None:
-                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
+                    entry[4]._resume(entry[5])
                 else:
                     callbacks = target.callbacks
                     target.callbacks = None
@@ -676,7 +624,7 @@ class Simulator:
                 self._now = entry[0]
                 target = entry[3]
                 if target is None:
-                    entry[4]._resume_direct(entry[5], entry[6], entry[7])
+                    entry[4]._resume(entry[5])
                 else:
                     callbacks = target.callbacks
                     target.callbacks = None
@@ -696,7 +644,7 @@ class Simulator:
         if target is None:
             owner = entry[4]
             began = _perf_counter()
-            owner._resume_direct(entry[5], entry[6], entry[7])
+            owner._resume(entry[5])
             elapsed = _perf_counter() - began
             name = getattr(owner, "name", None)
             if name is not None:
@@ -731,12 +679,12 @@ class Simulator:
 
 
 class _CallbackShim:
-    """Adapts a zero-argument callback to the direct-resume entry shape."""
+    """Adapts a zero-argument callback to the direct entry shape."""
 
     __slots__ = ("_callback",)
 
     def __init__(self, callback: Callable[[], None]):
         self._callback = callback
 
-    def _resume_direct(self, ok: Any, value: Any, exception: Any) -> None:
+    def _resume(self, trigger: Any) -> None:
         self._callback()

@@ -1,15 +1,8 @@
 """Capacity-limited simulated resources.
 
-Three primitives cover every contention pattern in the reproduction:
-
-* :class:`Resource` — a counted semaphore with a FIFO wait queue (e.g. a
-  host NIC admitting a bounded number of concurrent flows).
-* :class:`Container` — a continuous level with bounded capacity (e.g.
-  disk space on a HUP host).
-* :class:`Store` — a FIFO queue of discrete items with blocking get
-  (e.g. the SODA Daemon's command inbox).
-
-All waiters are served strictly FIFO, which keeps runs deterministic.
+:class:`Resource` is a counted semaphore with a FIFO wait queue: a
+switch's dispatcher and a service node's worker units are each one.
+Waiters are served strictly FIFO, which keeps runs deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +12,7 @@ from typing import Any, Deque, List
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Container", "Store"]
+__all__ = ["Resource"]
 
 
 class _Request(Event):
@@ -122,108 +115,3 @@ class Resource:
             self.users.append(nxt)
             nxt.succeed(nxt)
 
-
-class Container:
-    """A continuous quantity with a bounded capacity.
-
-    ``put``/``get`` return events that fire once the operation can
-    complete without violating ``0 <= level <= capacity``.  Waiters are
-    FIFO per direction.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = init
-        self._getters: Deque = deque()  # (event, amount)
-        self._putters: Deque = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError(f"negative put amount: {amount}")
-        event = Event(self.sim)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError(f"negative get amount: {amount}")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        """Grant queued operations in FIFO order while possible."""
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    event.succeed(amount)
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    event.succeed(amount)
-                    progressed = True
-
-
-class Store:
-    """FIFO queue of discrete items with blocking ``get``.
-
-    ``capacity`` bounds the number of buffered items; ``put`` blocks
-    (its event stays pending) while full.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        self._putters.append((event, item))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        self._getters.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                event, item = self._putters.popleft()
-                self.items.append(item)
-                event.succeed(item)
-                progressed = True
-            while self._getters and self.items:
-                event = self._getters.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True

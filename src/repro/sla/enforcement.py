@@ -20,11 +20,13 @@ this module can be loaded by the SODA Master without an import cycle.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import TYPE_CHECKING, Any, List
 
 from repro.core.errors import AdmissionError
 from repro.sla.contract import ServiceClass, SLAContract
-from repro.sla.monitor import SLAViolation
+
+if TYPE_CHECKING:  # annotations only
+    from repro.sla.monitor import SLAViolation
 
 __all__ = [
     "DEFAULT_SHED_QUEUE_LIMIT",

@@ -12,13 +12,15 @@ idempotent per violation: settling twice never double-credits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.core.billing import BillingLedger
 from repro.obs import ambient_registry
 from repro.obs.metrics import SLA_CREDIT
 from repro.sla.contract import PenaltySchedule
-from repro.sla.monitor import SLAViolation
+
+if TYPE_CHECKING:  # annotations only
+    from repro.sla.monitor import SLAViolation
 
 __all__ = ["Settlement", "credit_for_violations", "PenaltySettler"]
 

@@ -1,9 +1,9 @@
-"""Property-based tests for the simulation kernel and resources."""
+"""Property-based tests for the simulation kernel and Resource."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -69,48 +69,3 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     assert resource.count == 0
     assert not resource.queue
 
-
-@given(
-    capacity=st.floats(min_value=1, max_value=1000),
-    operations=st.lists(
-        st.tuples(st.booleans(), st.floats(min_value=0, max_value=100)),
-        max_size=40,
-    ),
-)
-@settings(max_examples=100)
-def test_container_level_stays_in_bounds(capacity, operations):
-    sim = Simulator()
-    container = Container(sim, capacity=capacity, init=capacity / 2)
-
-    def driver(sim):
-        for is_put, amount in operations:
-            amount = min(amount, capacity)  # puts larger than capacity block forever
-            event = container.put(amount) if is_put else container.get(amount)
-            yield sim.any_of([event, sim.timeout(1.0)])  # tolerate blocking ops
-            assert -1e-9 <= container.level <= capacity + 1e-9
-
-    sim.process(driver(sim))
-    sim.run()
-    assert -1e-9 <= container.level <= capacity + 1e-9
-
-
-@given(items=st.lists(st.integers(), max_size=40))
-@settings(max_examples=100)
-def test_store_preserves_fifo_order(items):
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def producer(sim):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(sim):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert received == items

@@ -458,3 +458,90 @@ def test_active_process_tracking():
     sim.run()
     assert seen == [p]
     assert sim.active_process is None
+
+
+def pinned_program(sim):
+    """One fixed program over every kind of heap push; returns its log.
+
+    Bootstraps, an interrupt whose direct wake-up goes stale, a yield on
+    an already-processed event, ``call_soon``, ``schedule_at``, a failed
+    event and a ``run(until=)`` leg.
+    """
+    log = []
+    gate = sim.event()
+
+    def sleeper(sim):
+        done = sim.timeout(1.0, "slept")
+        yield done
+        gate.succeed("open")
+        log.append(("again", (yield done), sim.now))  # processed: direct resume
+
+    def interrupter(sim, target):
+        yield gate
+        target.interrupt("late")  # lands after target finishes: stale
+        sim.call_soon(lambda: log.append(("soon", sim.now)))
+        try:
+            yield sim.any_of([sim.timeout(0.5), sim.event().fail(KeyError("k"))])
+        except KeyError:
+            log.append(("failed", sim.now))
+
+    def waiter(sim):
+        try:
+            yield sim.timeout(5.0)
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, sim.now))
+        yield sim.all_of([sim.timeout(0.25), gate])
+        log.append(("joined", sim.now))
+
+    target = sim.process(sleeper(sim), name="sleeper")
+    sim.process(interrupter(sim, target), name="interrupter")
+    blocked = sim.process(waiter(sim), name="waiter")
+    sim.schedule_at(0.5, lambda: blocked.interrupt("early"), priority=0)
+    sim.run(until=1.0)
+    log.append(("leg", sim.now))
+    sim.schedule_at(1.5, lambda: log.append(("at", sim.now)))
+    sim.run()
+    return log
+
+
+PINNED_LOG = [
+    ("interrupted", "early", 0.5),
+    ("again", "slept", 1.0),
+    ("soon", 1.0),
+    ("joined", 1.0),
+    ("failed", 1.0),
+    ("leg", 1.0),
+    ("at", 1.5),
+]
+PINNED_EVENTS = 20
+PINNED_SITES = {
+    "resume:sleeper": 3,  # bootstrap, direct resume, stale interrupt
+    "resume:interrupter": 1,
+    "resume:waiter": 2,
+    "call_soon:pinned_program.<locals>.<lambda>": 2,
+    "call_soon:pinned_program.<locals>.interrupter.<locals>.<lambda>": 1,
+    "Timeout->AllOf._check": 1,
+    "Timeout->sleeper": 1,
+    "Timeout->AnyOf._check": 1,
+    "Timeout": 1,
+    "Event->interrupter": 1,
+    "Event->AnyOf._check": 1,
+    "AllOf->waiter": 1,
+    "AnyOf->interrupter": 1,
+    "Process": 3,
+}
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_pinned_program_keeps_its_heap_push_count(profiled):
+    # events_scheduled is hashed into the federation digest
+    # (ClusterShard.digest): a kernel change that adds or drops a heap
+    # push fails here before any digest or perfbench reference moves.
+    sim = Simulator()
+    profiler = KernelProfiler().install(sim) if profiled else None
+    assert pinned_program(sim) == PINNED_LOG
+    assert sim.events_scheduled == PINNED_EVENTS
+    assert sim.now == 5.0  # the interrupted waiter's timeout still fires
+    if profiler is not None:
+        # perfbench's layer split reads these site names.
+        assert {site: stats.events for site, stats in profiler.sites.items()} == PINNED_SITES

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Container and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 from repro.sim.kernel import SimulationError
 
 
@@ -74,135 +74,3 @@ def test_resource_context_manager():
     sim.run()
     assert res.count == 0
 
-
-# --------------------------------------------------------------- Container
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10, init=11)
-    container = Container(sim, capacity=10)
-    with pytest.raises(ValueError):
-        container.put(-1)
-    with pytest.raises(ValueError):
-        container.get(-1)
-
-
-def test_container_put_get_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, init=50)
-    tank.put(25)
-    assert tank.level == 75
-    tank.get(70)
-    assert tank.level == 5
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, init=0)
-    times = []
-
-    def consumer(sim):
-        yield tank.get(10)
-        times.append(sim.now)
-
-    def producer(sim):
-        yield sim.timeout(5)
-        yield tank.put(10)
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert times == [5.0]
-
-
-def test_container_put_blocks_when_full():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=10)
-    times = []
-
-    def producer(sim):
-        yield tank.put(5)
-        times.append(sim.now)
-
-    def consumer(sim):
-        yield sim.timeout(3)
-        yield tank.get(7)
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert times == [3.0]
-    assert tank.level == 8
-
-
-# -------------------------------------------------------------------- Store
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer(sim):
-        for item in ("x", "y", "z"):
-            yield store.put(item)
-            yield sim.timeout(1)
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_get_blocks_on_empty():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer(sim):
-        yield store.get()
-        times.append(sim.now)
-
-    def producer(sim):
-        yield sim.timeout(7)
-        yield store.put("late")
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert times == [7.0]
-
-
-def test_store_put_blocks_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("first")
-    times = []
-
-    def producer(sim):
-        yield store.put("second")
-        times.append(sim.now)
-
-    def consumer(sim):
-        yield sim.timeout(4)
-        yield store.get()
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert times == [4.0]
-    assert len(store) == 1
-
-
-def test_store_len():
-    sim = Simulator()
-    store = Store(sim)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2

@@ -54,6 +54,7 @@ UNCALLED_BY_HARNESSES = (
     "repro.host.scheduler",
     "repro.core.federation",
     "repro.experiments",
+    "repro.sla.monitor",
 )
 
 
