@@ -72,14 +72,19 @@ scalar for every group size: a NumPy fill of wide groups never beat it
 
 Heap entries
 ------------
-The flush and the completion wake-up are pushed as direct heap entries
-whose owners (one ``_CallbackShim`` for the flush, one ``_WakeShim``
-for the wake-up, which reads its generation from the entry's trigger
-slot) live as long as the LAN, so neither allocates an
-event or closure per push.  Each entry takes the ``(time, priority,
-seq)`` key the ``call_soon`` callback or ``Timeout`` it replaced would
-have taken, so firing order is unchanged.  LAN and kernel optimizations
-must also keep the *number* of heap pushes: ``Simulator.events_scheduled``
+The flush and the completion wake-up are pushed as direct entries whose
+owners (one ``_CallbackShim`` for the flush, one ``_WakeShim`` for the
+wake-up, which reads its generation from the entry's trigger slot) live
+as long as the LAN, so neither allocates an event or closure per push.
+The flush is due now and URGENT, so it rides the kernel's same-instant
+lane.  Each entry takes the ``(time, priority, seq)`` key the
+``call_soon`` callback or ``Timeout`` it replaced would have taken, so
+firing order is unchanged.  The delivery stays a latency ``Timeout``:
+perfbench counts delivered transfers by its profiler site
+(``Timeout->LAN._finish...``).  It carries its flow as its value, and
+one bound method, ``_finish_delivery``, is every delivery's callback,
+so no closure is allocated per transfer.  LAN and kernel optimizations
+must also keep the *number* of pushes: ``Simulator.events_scheduled``
 is hashed into the federation digest (``ClusterShard.digest``), so
 cutting a push (delivering ``done`` without its latency ``Timeout``,
 say) changes pinned digests and needs its references re-recorded.
@@ -129,7 +134,7 @@ import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.obs.metrics import LAN_FLUSHES, LAN_TRANSFERS
-from repro.sim.kernel import NORMAL, URGENT, Event, Simulator, _CallbackShim
+from repro.sim.kernel import NORMAL, Event, Simulator, Timeout, _CallbackShim
 
 __all__ = ["NetworkInterface", "Flow", "LAN"]
 
@@ -274,9 +279,11 @@ class LAN:
         self._last_update = sim.now
         self._wake_generation = 0
         self._flush_pending = False
-        # Heap-entry owners reused for every flush and wake-up push.
+        # Direct-entry owners reused for every flush and wake-up push,
+        # and the one bound callback of every delivery Timeout.
         self._flush_shim = _CallbackShim(self._flush)
         self._wake_shim = _WakeShim(self._on_wake)
+        self._finish_delivery_cb = self._finish_delivery
         self._wire_dirty = False
         self._loopback_dirty = False
         # Fault state: stalled NICs carry no wire traffic; a partition
@@ -415,7 +422,7 @@ class LAN:
         # _mark_dirty, inlined: this runs once per transfer.
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)
+            self.sim._schedule_now(self._flush_shim)
         return flow
 
     # -- fluid-model internals ----------------------------------------------
@@ -427,7 +434,7 @@ class LAN:
             self._loopback_dirty = True
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)
+            self.sim._schedule_now(self._flush_shim)
 
     def _flush(self) -> None:
         """Drain, recompute affected groups, and re-arm the wake-up."""
@@ -491,13 +498,14 @@ class LAN:
             for flow in finished:
                 flow.remaining_mb = 0.0
         if finished:
-            self._flows = [f for f in self._flows if f.remaining_mb > 0.0]
+            # In place: about 2.5 flows are live at a flush, and one
+            # usually finishes.  _finish only pushes entries, so nothing
+            # reads the lists before the loop ends.
             for flow in finished:
+                self._flows.remove(flow)
                 if not flow._loopback:
-                    self._wire = [f for f in self._wire if f.remaining_mb > 0.0]
+                    self._wire.remove(flow)
                     self._wire_dirty = True
-                    break
-            for flow in finished:
                 self._finish(flow)
 
     def _finish(self, flow: Flow) -> None:
@@ -506,8 +514,15 @@ class LAN:
         if self.latency_s == 0:
             flow.done.succeed(flow)
         else:
-            delivery = self.sim.timeout(self.latency_s)
-            delivery.callbacks.append(lambda _ev, f=flow: f.done.succeed(f))
+            # A Timeout, not a direct entry: perfbench counts delivered
+            # transfers by the profiler site "Timeout->LAN._finish...".
+            delivery = Timeout(self.sim, self.latency_s, flow)
+            delivery.callbacks.append(self._finish_delivery_cb)
+
+    def _finish_delivery(self, delivery: Timeout) -> None:
+        """The latency has passed: fire the done event of the flow it carries."""
+        flow = delivery._value
+        flow.done.succeed(flow)
 
     def _compute_wire_rates(self) -> None:
         """Progressive-filling max-min fairness over the wire group.
@@ -612,4 +627,4 @@ class LAN:
         self._advance()
         if not self._flush_pending:  # _mark_dirty(), inlined
             self._flush_pending = True
-            self.sim._schedule_direct(self._flush_shim, URGENT, self.sim._now)
+            self.sim._schedule_now(self._flush_shim)

@@ -27,34 +27,44 @@ The kernel is the innermost loop of every experiment, so it avoids
 allocations where the event machinery is pure plumbing:
 
 * All event classes use ``__slots__``.
-* The heap holds two entry shapes (see :class:`Simulator`): a triggered
-  event, ``(time, priority, seq, event)``, and a *direct* entry,
-  ``(time, priority, seq, None, owner, trigger)``, which the run loop
-  dispatches straight into ``owner._resume(trigger)``.  A process has
-  one resume body, :meth:`Process._resume`, whether an event's callback
-  or a direct entry calls it.  A direct entry's trigger is the
-  already-processed event the process yielded, the shared
-  already-succeeded sentinel (bootstraps, callbacks), or an unscheduled
-  failed :class:`Event` carrying the :class:`Interrupt`; no throwaway
-  event is ever scheduled.  Both shapes share the ``(time, priority,
-  seq)`` prefix and ``seq`` is unique, so tuple comparison never reaches
-  the payload and the documented firing order is preserved bit-for-bit.
-* :class:`Timeout` schedules itself inline instead of going through the
-  generic ``Event`` constructor plus :meth:`Simulator._schedule`.
+* Pending entries live in two containers (see :class:`Simulator`): a
+  FIFO *lane* (a ``deque``) for entries due now with URGENT priority —
+  triggered events, bootstraps, interrupts, resumes after an
+  already-processed yield, ``call_soon`` — and a binary heap for
+  everything else.  About half of all entries are same-instant URGENT
+  ones, and the lane appends and pops them in constant time instead of
+  sifting them through the heap.  Every entry still takes the next
+  ``seq``, and the run loops take from the lane before the heap, so the
+  firing order is exactly ``(time, priority, seq)`` order.
+* Entries come in two shapes: a triggered event, ``(time, priority, seq,
+  event)``, and a *direct* entry, ``(time, priority, seq, None, owner,
+  trigger)``, which the run loop dispatches straight into
+  ``owner._resume(trigger)``.  A process has one resume body,
+  :meth:`Process._resume`, whether an event's callback or a direct entry
+  calls it.  A direct entry's trigger is the already-processed event the
+  process yielded, the shared already-succeeded sentinel (bootstraps,
+  callbacks), or an unscheduled failed :class:`Event` carrying the
+  :class:`Interrupt`; no throwaway event is ever scheduled.  Both shapes
+  share the ``(time, priority, seq)`` prefix and ``seq`` is unique, so
+  heap comparisons never reach the payload.
+* :class:`Timeout`, :meth:`Event.succeed` and the :class:`Process`
+  bootstrap push inline instead of going through a scheduling method.
 * A component that pushes the same callback over and over (the LAN's
   flush and completion wake-up) keeps one direct-entry owner and pushes
-  it with :meth:`Simulator._schedule_direct`.
+  it with :meth:`Simulator._schedule_now` or
+  :meth:`Simulator._schedule_direct`.
 
 ``tests/sim/test_kernel_reference.py`` holds a plain reference
-simulator (one heap, one entry shape, no inlining) that this kernel must
-match event for event on random process programs.
+simulator (one heap, one entry shape, no lane, no inlining) that this
+kernel must match event for event on random process programs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SimulationError",
@@ -146,7 +156,10 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, URGENT)
+        # Inlined Simulator._schedule: due now, URGENT, so onto the lane.
+        sim = self.sim
+        sim._seq += 1
+        sim._lane.append((sim._now, URGENT, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -157,7 +170,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._exception = exception
-        self.sim._schedule(self, URGENT)
+        self.sim._schedule(self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -297,8 +310,10 @@ class Process(Event):
         # the resume step drop it: a finished process is then freed by
         # refcount instead of waiting for the cyclic GC.
         self._resume_cb = self._resume
-        # Bootstrap: resume at the current instant via a direct entry.
-        sim._schedule_direct(self, URGENT, sim._now)
+        # Bootstrap: resume at the current instant via a direct entry
+        # (Simulator._schedule_now, inlined).
+        sim._seq += 1
+        sim._lane.append((sim._now, URGENT, sim._seq, None, self, _SUCCEEDED))
 
     @property
     def is_alive(self) -> bool:
@@ -323,7 +338,7 @@ class Process(Event):
         interrupt = Event(sim)  # failed, never scheduled: only a trigger
         interrupt._ok = False
         interrupt._exception = Interrupt(cause)
-        sim._schedule_direct(self, URGENT, sim._now, interrupt)
+        sim._schedule_now(self, interrupt)
 
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with ``trigger``'s outcome.
@@ -369,7 +384,7 @@ class Process(Event):
         if callbacks is None:
             # Already processed: resume at this instant, with the event
             # itself as the direct entry's trigger.
-            sim._schedule_direct(self, URGENT, sim._now, next_event)
+            sim._schedule_now(self, next_event)
         else:
             callbacks.append(self._resume_cb)
 
@@ -387,9 +402,9 @@ class Process(Event):
 
 
 class Simulator:
-    """Owns the simulated clock and the pending-event heap.
+    """Owns the simulated clock and the pending entries.
 
-    Heap entries come in two shapes sharing the ``(time, priority, seq)``
+    Entries come in two shapes sharing the ``(time, priority, seq)``
     prefix (``seq`` is unique, so comparisons never reach the payload):
 
     * ``(time, priority, seq, event)`` — a triggered :class:`Event`
@@ -403,17 +418,39 @@ class Simulator:
       (:meth:`call_soon`, :meth:`schedule_at`) ignores the sentinel it
       is given; the LAN's wake-up owner reads its generation from it.
 
+    They wait in one of two containers.  An entry due now with URGENT
+    priority goes on the *lane*, a FIFO ``deque``; every other entry goes
+    on the heap.  Lane entries all carry the current time and URGENT
+    priority, and each takes the next ``seq``, so appending them keeps
+    the lane sorted by key: FIFO order is key order, and a lane entry
+    sorts before every heap entry except one keyed ``(now, URGENT)``
+    with a smaller ``seq``.  Such a heap entry exists only if it was
+    pushed for a future instant (``schedule_at(t, cb, URGENT)``, or
+    :meth:`_schedule_direct` at ``t > now``) and the clock has since
+    reached ``t``.  The clock moves only when a heap pop finds the lane
+    empty, so the future-URGENT rule is: when a heap pop yields an URGENT
+    entry, the heap's other URGENT entries at that instant move to the
+    lane before it dispatches (:meth:`_hoist_urgent`), ahead of anything
+    the instant pushes later.  No caller under ``src/`` makes such a push,
+    and the check costs one priority read per heap pop rather than a key
+    comparison per event.  The lane is empty whenever the clock moves and
+    after :meth:`run` returns.
+
     An exception escaping a process generator fails the Process event,
     and every process (or condition) waiting on it receives it.  A
     failure that nobody is waiting on is re-raised out of :meth:`run`,
     :meth:`run_until_process` or :meth:`step`, so it is never dropped.
     "Waiting" is judged when the process fails, so a parent joining
     several children in turn has them return expected errors instead.
+    When such a failure escapes from one callback of an event, the
+    event's later callbacks are not lost: they run first on the next
+    dispatch, at the same instant and in callback order.
     """
 
     def __init__(self):
         self._now: float = 0.0
         self._heap: List[tuple] = []
+        self._lane: Deque[tuple] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Opt-in kernel profiler (duck-typed; see repro.obs.profiler).
@@ -429,12 +466,12 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total heap entries ever scheduled (events, resumes, callbacks).
+        """Total entries ever scheduled (events, resumes, callbacks).
 
         This is the kernel-cost yardstick the hybrid-fidelity benches
-        report: it counts every entry pushed onto the event heap over the
-        simulator's lifetime, at zero extra cost (it *is* the sequence
-        counter that orders same-instant ties).
+        report: it counts every entry pushed onto the lane or the heap
+        over the simulator's lifetime, at zero extra cost (it *is* the
+        sequence counter that orders same-instant ties).
         """
         return self._seq
 
@@ -457,9 +494,9 @@ class Simulator:
         observability imports.  With a profiler installed, ``run()`` and
         ``run_until_process()`` dispatch every event through
         :meth:`_dispatch_profiled`, which times its callback site; the
-        profiler only *measures* (wall clock, heap depth), so simulation
-        results are bit-identical either way.  ``step()`` is never
-        profiled.
+        profiler only *measures* (wall clock, pending depth: lane plus
+        heap), so simulation results are bit-identical either way.
+        ``step()`` is never profiled.
         """
         self._profiler = profiler
 
@@ -483,22 +520,39 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, priority: int) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Fire triggered ``event`` at this instant (URGENT, on the lane)."""
         self._seq += 1
-        _heappush(self._heap, (self._now, priority, self._seq, event))
+        self._lane.append((self._now, URGENT, self._seq, event))
+
+    def _schedule_now(self, owner: Any, trigger: Any = _SUCCEEDED) -> None:
+        """Schedule ``owner._resume(trigger)`` at this instant, URGENT.
+
+        The lane push of a direct entry: it takes the next sequence
+        number and so sorts exactly where a :meth:`call_soon` made at
+        this point would.  Hot-path components (the LAN's flush) keep
+        one ``owner`` for their lifetime instead of allocating a shim
+        per push.
+        """
+        self._seq += 1
+        self._lane.append((self._now, URGENT, self._seq, None, owner, trigger))
 
     def _schedule_direct(
         self, owner: Any, priority: int, time: float, trigger: Any = _SUCCEEDED
     ) -> None:
         """Schedule ``owner._resume(trigger)`` at absolute time ``time``.
 
-        The one push of a direct entry.  It takes the next sequence
-        number, so at ``time == now + delay`` it sorts exactly where a
-        :class:`Timeout` or :meth:`call_soon` created at this point
-        would.  Hot-path components (the LAN's flush and completion
-        wake-up) keep one ``owner`` for their lifetime instead of
-        allocating an event or shim per push.
+        It takes the next sequence number, so at ``time == now + delay``
+        it sorts exactly where a :class:`Timeout` or :meth:`call_soon`
+        created at this point would.  An URGENT entry due now goes on the
+        lane; an URGENT entry for a later instant is the heap entry the
+        future-URGENT rule handles (see :class:`Simulator`).  Hot-path
+        components (the LAN's completion wake-up) keep one ``owner`` for
+        their lifetime.
         """
+        if priority == URGENT and time == self._now:
+            self._schedule_now(owner, trigger)
+            return
         self._seq += 1
         _heappush(self._heap, (time, priority, self._seq, None, owner, trigger))
 
@@ -509,9 +563,9 @@ class Simulator:
         any event, after everything urgent already scheduled.  Lets a
         component coalesce several same-instant mutations into one pass
         (the LAN's batched rate recomputation does this through
-        :meth:`_schedule_direct` with an owner it reuses).
+        :meth:`_schedule_now` with an owner it reuses).
         """
-        self._schedule_direct(_CallbackShim(callback), URGENT, self._now)
+        self._schedule_now(_CallbackShim(callback))
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], priority: int = NORMAL
@@ -535,32 +589,76 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        if self._lane:
+            return self._now
+        return self._heap[0][0] if self._heap else _INF
+
+    def _hoist_urgent(self) -> None:
+        """Move the heap's URGENT entries at this instant onto the lane.
+
+        Called right after a heap pop yielded an URGENT entry, which only
+        a push for a future instant leaves on the heap.  The lane is empty
+        at a heap pop and these entries' sequence numbers precede every
+        push the instant will make, so the lane stays in key order.
+        """
+        heap = self._heap
+        now = self._now
+        lane = self._lane
+        while heap and heap[0][0] == now and heap[0][1] == URGENT:
+            lane.append(_heappop(heap))
+
+    def _defer_callbacks(self, event: Event, rest: Iterable[Callable]) -> None:
+        """Keep the callbacks after one of ``event``'s that raised.
+
+        They go to the front of the lane, so the next dispatch (the next
+        :meth:`run`, :meth:`step` or :meth:`run_until_process`) runs
+        them at this instant, in order, before anything else.  The entry
+        is the rest of one already counted, so it takes no new ``seq``.
+        """
+        rest = list(rest)
+        if rest:
+            owner = _DeferredCallbacks(event, rest)
+            self._lane.appendleft((self._now, URGENT, self._seq, None, owner, _SUCCEEDED))
+
+    def _fire(self, event: Event, callbacks: Iterable[Callable]) -> None:
+        """Run ``event``'s detached ``callbacks`` (the loops inline this)."""
+        callbacks = iter(callbacks)
+        try:
+            for callback in callbacks:
+                callback(event)
+        except BaseException:
+            self._defer_callbacks(event, callbacks)
+            raise
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._heap:
+        lane = self._lane
+        if lane:
+            entry = lane.popleft()
+        elif self._heap:
+            entry = _heappop(self._heap)
+            if entry[0] < self._now:
+                raise SimulationError("event scheduled in the past (kernel bug)")
+            self._now = entry[0]
+            if not entry[1]:  # URGENT on the heap: the future-URGENT rule
+                self._hoist_urgent()
+        else:
             raise SimulationError("step() on an empty event heap")
-        entry = _heappop(self._heap)
-        if entry[0] < self._now:
-            raise SimulationError("event scheduled in the past (kernel bug)")
-        self._now = entry[0]
         target = entry[3]
         if target is None:
             entry[4]._resume(entry[5])
         else:
             callbacks = target.callbacks
             target.callbacks = None
-            for callback in callbacks:
-                callback(target)
+            self._fire(target, callbacks)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains, or the clock reaches ``until``.
+        """Run until nothing is pending, or the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if the last event fires earlier.
         """
-        # The heap-pop loop is inlined (rather than calling step()) — it
+        # The dispatch loop is inlined (rather than calling step()) — it
         # is the hottest couple of lines in the entire repository.
         # Events cannot be scheduled in the past (delay >= 0 always), so
         # the monotonicity assertion in step() is skipped here.
@@ -570,30 +668,45 @@ class Simulator:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         else:
             limit = until
+        lane = self._lane
+        popleft = lane.popleft
         heap = self._heap
         pop = _heappop
         profiler = self._profiler
-        while heap:
-            # Pop, then push back the one entry past ``until``: a compare
-            # on the popped time costs less per event than peeking at
-            # heap[0].  Keys are unique, so the firing order is unchanged.
-            entry = pop(heap)
-            now = entry[0]
-            if now > limit:
-                _heappush(heap, entry)
+        while True:
+            if lane:
+                # Due now, so never past ``until``, and the clock stays.
+                entry = popleft()
+            elif heap:
+                # Pop, then push back the one entry past ``until``: a
+                # compare on the popped time costs less per event than
+                # peeking at heap[0].  Keys are unique, so the firing
+                # order is unchanged.
+                entry = pop(heap)
+                now = entry[0]
+                if now > limit:
+                    _heappush(heap, entry)
+                    break
+                self._now = now
+                if not entry[1]:  # URGENT on the heap: the future-URGENT rule
+                    self._hoist_urgent()
+            else:
                 break
-            self._now = now
             if profiler is None:
                 target = entry[3]
                 if target is None:
                     entry[4]._resume(entry[5])
                 else:
-                    callbacks = target.callbacks
+                    callbacks = iter(target.callbacks)
                     target.callbacks = None
-                    for callback in callbacks:
-                        callback(target)
+                    try:
+                        for callback in callbacks:
+                            callback(target)
+                    except BaseException:
+                        self._defer_callbacks(target, callbacks)
+                        raise
             else:
-                profiler.note_heap_depth(len(heap) + 1)  # depth before the pop
+                profiler.note_heap_depth(len(heap) + len(lane) + 1)  # depth before the pop
                 self._dispatch_profiled(entry, profiler)
         if until is not None:
             self._now = until
@@ -602,44 +715,60 @@ class Simulator:
         """Run until ``process`` completes; return its value.
 
         Raises the process's exception if it failed, or
-        :class:`SimulationError` if the heap drains (deadlock) or the
+        :class:`SimulationError` if nothing is pending (deadlock) or the
         clock passes ``limit`` before completion.
         """
         if limit != limit:  # NaN: no event time would ever exceed it
             raise ValueError(f"limit={limit} is not a number")
+        lane = self._lane
+        popleft = lane.popleft
         heap = self._heap
         pop = _heappop
         profiler = self._profiler
+        # Lane entries are due now, and the clock only moves to heap
+        # entries checked against ``limit`` below, so one check here
+        # covers every lane entry of the loop.
+        if self._now > limit and lane and process._ok is None:
+            raise SimulationError(
+                f"time limit {limit} exceeded waiting for process {process.name!r}"
+            )
         while process._ok is None:
-            if not heap:
+            if lane:
+                entry = popleft()
+            elif heap:
+                if heap[0][0] > limit:
+                    raise SimulationError(
+                        f"time limit {limit} exceeded waiting for process {process.name!r}"
+                    )
+                entry = pop(heap)
+                self._now = entry[0]
+                if not entry[1]:  # URGENT on the heap: the future-URGENT rule
+                    self._hoist_urgent()
+            else:
                 raise SimulationError(
                     f"deadlock: heap drained before process {process.name!r} finished"
                 )
-            if heap[0][0] > limit:
-                raise SimulationError(
-                    f"time limit {limit} exceeded waiting for process {process.name!r}"
-                )
             if profiler is None:
-                entry = pop(heap)
-                self._now = entry[0]
                 target = entry[3]
                 if target is None:
                     entry[4]._resume(entry[5])
                 else:
-                    callbacks = target.callbacks
+                    callbacks = iter(target.callbacks)
                     target.callbacks = None
-                    for callback in callbacks:
-                        callback(target)
+                    try:
+                        for callback in callbacks:
+                            callback(target)
+                    except BaseException:
+                        self._defer_callbacks(target, callbacks)
+                        raise
             else:
-                profiler.note_heap_depth(len(heap))
-                entry = pop(heap)
-                self._now = entry[0]
+                profiler.note_heap_depth(len(heap) + len(lane) + 1)  # depth before the pop
                 self._dispatch_profiled(entry, profiler)
         return process.value
 
     # -- profiled dispatch (opt-in; see set_profiler) -----------------------
     def _dispatch_profiled(self, entry: tuple, profiler: Any) -> None:
-        """Dispatch one heap entry, timing it against its callback site."""
+        """Dispatch one entry, timing it against its callback site."""
         target = entry[3]
         if target is None:
             owner = entry[4]
@@ -672,8 +801,7 @@ class Simulator:
             else:
                 site = kind
             began = _perf_counter()
-            for callback in callbacks:
-                callback(target)
+            self._fire(target, callbacks)
             elapsed = _perf_counter() - began
         profiler.record(site, elapsed)
 
@@ -688,3 +816,16 @@ class _CallbackShim:
 
     def _resume(self, trigger: Any) -> None:
         self._callback()
+
+
+class _DeferredCallbacks:
+    """Owner of the entry that runs an event's callbacks after one raised."""
+
+    __slots__ = ("event", "callbacks")
+
+    def __init__(self, event: Event, callbacks: List[Callable]):
+        self.event = event
+        self.callbacks = callbacks
+
+    def _resume(self, trigger: Any) -> None:
+        self.event.sim._fire(self.event, self.callbacks)

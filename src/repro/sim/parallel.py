@@ -1066,6 +1066,10 @@ def run_federation(
         else:
             import multiprocessing as mp
 
+            # Loaded here, before the fork, so every worker inherits
+            # numpy.random (16 modules) instead of importing it afresh.
+            import numpy.random  # noqa: F401
+
             methods = mp.get_all_start_methods()
             ctx = mp.get_context("fork" if "fork" in methods else "spawn")
             for specs in assignment:

@@ -234,8 +234,10 @@ def test_lan_profiler_sites_keep_their_names():
     sites = set(profiler.sites)
     assert "call_soon:LAN._flush" in sites
     assert profiler.sites["call_soon:LAN._flush"].events > 0
+    # perfbench counts lan.transfers by this prefix (run.py _lan_sites).
     deliveries = [s for s in sites if s.startswith("Timeout->LAN._finish")]
-    assert deliveries and sum(profiler.sites[s].events for s in deliveries) == 90
+    assert deliveries == ["Timeout->LAN._finish_delivery"]
+    assert sum(profiler.sites[s].events for s in deliveries) == 90
     wakes = [s for s in sites if "_on_wake" in s]
     assert wakes == ["call_soon:LAN._on_wake"]
     # Every LAN site's qualname (after the site prefix) starts with "LAN.".

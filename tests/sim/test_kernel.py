@@ -225,6 +225,51 @@ def test_uncaught_process_failure_raises_when_strict():
         sim.run()
 
 
+@pytest.mark.parametrize("drive", ["run", "step", "run_until_process"])
+@pytest.mark.parametrize("profiled", [False, True])
+def test_waiters_behind_a_raising_waiter_resume_on_the_next_run(drive, profiled):
+    # Two processes wait on one gate and the first raises, unawaited,
+    # when it opens: the failure escapes from the gate's callback loop.
+    # The second waiter is not lost; it resumes on the next run, at the
+    # same instant, ahead of the NORMAL timeout due then.
+    sim = Simulator()
+    if profiled:
+        KernelProfiler().install(sim)
+    gate = sim.event()
+    log = []
+
+    def raiser(sim):
+        yield gate
+        raise ValueError("boom")
+
+    def waiter(sim, name):
+        value = yield gate
+        log.append((sim.now, name, value))
+
+    def opener(sim):
+        yield sim.timeout(1.0)
+        sim.timeout(0.0).callbacks.append(lambda _: log.append((sim.now, "timeout", None)))
+        gate.succeed("open")
+
+    sim.process(raiser(sim))
+    second = sim.process(waiter(sim, "second"))
+    sim.process(waiter(sim, "third"))
+    sim.process(opener(sim))
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert log == [] and sim.peek() == 1.0
+    if drive == "run":
+        sim.run()
+    elif drive == "step":
+        while sim.peek() < float("inf"):
+            sim.step()
+    else:
+        sim.run_until_process(second)
+        sim.run()
+    assert log == [(1.0, "second", "open"), (1.0, "third", "open"), (1.0, "timeout", None)]
+    assert not second.is_alive and sim.now == 1.0
+
+
 def test_yielding_non_event_is_an_error():
     sim = Simulator()
 

@@ -1,10 +1,11 @@
 """The event kernel against a plain reference simulator, event for event.
 
-``Simulator`` is hand-inlined for speed: two heap-entry shapes, a run
-loop per entry point and a profiled dispatch branch.  ``RefSimulator``
-below states the same documented semantics with none of that: one heap
-ordered by ``(time, priority, seq)``, one entry shape (a zero-argument
-action), and one dispatch, :meth:`RefSimulator._step`.
+``Simulator`` is hand-inlined for speed: a FIFO lane beside its heap,
+two entry shapes, a run loop per entry point and a profiled dispatch
+branch.  ``RefSimulator`` below states the same documented semantics
+with none of that: one heap ordered by ``(time, priority, seq)``, one
+entry shape (a zero-argument action), and one dispatch,
+:meth:`RefSimulator._step`.
 
 * Same-instant entries fire in ``(time, priority, seq)`` order; URGENT
   (triggered events, bootstraps, resumes, interrupts, ``call_soon``)
@@ -15,7 +16,9 @@ action), and one dispatch, :meth:`RefSimulator._step`.
   URGENT ``Interrupt``; a wake-up that reaches a finished process is
   dropped (the stale wake-up).
 * A process failure reaches its waiters; one nobody waits on when it
-  fails escapes ``run()``.  So does a non-event yield.
+  fails escapes ``run()``.  So does a non-event yield.  When the escape
+  leaves an event's callback loop, the callbacks after the one that
+  raised run first on the next dispatch, at the same instant, in order.
 * ``AnyOf``/``AllOf`` consume already-processed constituents at once.
 
 A hypothesis strategy builds random process programs.  Each program runs
@@ -73,8 +76,17 @@ class RefEvent:
 
     def _fire(self):
         callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
+        self._run_callbacks(callbacks)
+
+    def _run_callbacks(self, callbacks):
+        for index, callback in enumerate(callbacks):
+            try:
+                callback(self)
+            except Exception:
+                rest = callbacks[index + 1:]
+                if rest:
+                    self.sim._push_first(partial(self._run_callbacks, rest))
+                raise
 
 
 class RefCondition(RefEvent):
@@ -158,10 +170,16 @@ class RefSimulator:
         self.now = 0.0
         self.heap = []
         self.events_scheduled = 0
+        self.firsts = 0
 
     def _push(self, time, priority, action):
         self.events_scheduled += 1
         heapq.heappush(self.heap, (time, priority, self.events_scheduled, action))
+
+    def _push_first(self, action):
+        """Ahead of everything pending; the rest of an entry already counted."""
+        self.firsts -= 1
+        heapq.heappush(self.heap, (self.now, -1, self.firsts, action))
 
     def _step(self):
         time, _, _, action = heapq.heappop(self.heap)
@@ -222,6 +240,7 @@ _ACTION = st.one_of(
     st.none(),
     st.tuples(st.just("fire"), st.integers(0, 3), st.booleans()),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    st.tuples(st.just("soon")),
 )
 _OP = st.one_of(
     st.tuples(st.just("sleep"), _DELAYS),
@@ -356,6 +375,8 @@ class Interpreter:
             target = self.processes[action[1] % len(self.processes)]
             self.note(who, "interrupt", target.name)
             target.interrupt(who)
+        elif action[0] == "soon":
+            self.sim.call_soon(partial(self.callback, f"{who}.soon", None))
 
     def callback(self, tag, action):
         self.note(tag, "callback")
@@ -387,6 +408,8 @@ class Interpreter:
                 if delay is not None:
                     callback = partial(self.callback, "inject", None)
                     sim.schedule_at(sim.now + delay, callback, priority)
+                # ClusterShard.quiet() parks like this and asks peek().
+                self.note("run", "peek", sim.peek())
         elif mode == "until_process":
             self.join(self.processes[0], drive[1])
         self.attempt(sim.run)
@@ -411,6 +434,7 @@ def both(program, drive, profiled=False):
     if profiled:
         KernelProfiler().install(sim)
     real = Interpreter(sim, program).drive(drive)
+    assert not sim._lane  # drive() ends with a run() that returned
     reference = Interpreter(RefSimulator(), program).drive(drive)
     return real, reference
 
@@ -437,6 +461,32 @@ SAME_INSTANT = {
     ],
     "children": [[("sleep", 0.0), ("interrupt", 2), ("raise",)]],
 }
+# Two URGENT callbacks pushed for t=1; the first calls call_soon.  The
+# second was pushed first, so it fires before the call_soon callback.
+FUTURE_URGENT = {
+    "events": 1,
+    "roots": [[("at", 1.0, URGENT, ("soon",)), ("at", 1.0, URGENT, None)]],
+    "children": [[]],
+}
+# A leg parks at t=0.5, a URGENT callback is injected at the parked
+# instant, and peek() must see it although the next timeout is at t=2.
+PARKED_PEEK = {
+    "events": 1,
+    "roots": [[("sleep", 2.0)]],
+    "children": [[]],
+}
+PARKED_PEEK_DRIVE = ("legs", [0.5], [(0.0, URGENT)])
+# Two processes wait on one gate; the first raises when it opens, so
+# the failure escapes run() from the gate's callback loop.
+RAISING_WAITER = {
+    "events": 1,
+    "roots": [
+        [("wait", 0), ("raise",)],
+        [("wait", 0), ("sleep", 0.0)],
+        [("sleep", 1.0), ("fire", 0, True)],
+    ],
+    "children": [[]],
+}
 
 
 @settings(deadline=None)
@@ -444,6 +494,11 @@ SAME_INSTANT = {
 @example(program=STALE_INTERRUPT, drive=("run",), profiled=False)
 @example(program=SAME_INSTANT, drive=("run",), profiled=True)
 @example(program=SAME_INSTANT, drive=("legs", [0.5, 1.0], [(0.5, NORMAL)]), profiled=False)
+@example(program=FUTURE_URGENT, drive=("run",), profiled=False)
+@example(program=FUTURE_URGENT, drive=("step",), profiled=True)
+@example(program=PARKED_PEEK, drive=PARKED_PEEK_DRIVE, profiled=False)
+@example(program=RAISING_WAITER, drive=("run",), profiled=False)
+@example(program=RAISING_WAITER, drive=("until_process", math.inf), profiled=True)
 def test_kernel_matches_reference_event_for_event(program, drive, profiled):
     real, reference = both(program, drive, profiled)
     assert real == reference
@@ -457,3 +512,11 @@ def test_hand_built_programs_reach_their_cases():
     actions = {entry[2] for entry in log}
     assert {"callback", "fire", "interrupt", "caught", "escape", "leg", "woke"} <= actions
     assert now == 2.0
+    (log, _, _), _ = both(FUTURE_URGENT, ("run",))
+    assert [entry[1] for entry in log if entry[2] == "callback"] == ["p0.0", "p0.1", "p0.0.soon"]
+    (log, _, _), _ = both(PARKED_PEEK, PARKED_PEEK_DRIVE)
+    assert (0.5, "run", "peek", 0.5) in log
+    (log, _, _), _ = both(RAISING_WAITER, ("run",))
+    assert log.index((1.0, "run", "escape", ("RuntimeError", "p0"))) < log.index(
+        (1.0, "p1", "woke", "p2")
+    )
