@@ -21,12 +21,12 @@ Recomputing the allocation used to happen eagerly on *every* flow
 arrival, departure, and cap change.  The allocator is now incremental
 and batched:
 
-* Mutations only mark the LAN dirty; one flush — scheduled at the same
-  instant with URGENT priority, like ``Simulator.call_soon`` — drains the
+* Mutations only mark the LAN dirty; one flush — due now on the
+  kernel's same-instant lane, like ``Simulator.call_soon`` — drains the
   fluid state and recomputes rates once for all mutations made before
-  the flush fires.  Because the flush runs at URGENT priority, it sorts
-  ahead of same-instant NORMAL-priority events: a mutation made by a
-  *later* event at the same instant re-arms another flush.  Results are
+  the flush fires.  Because the flush rides the lane, it fires ahead of
+  the timeouts due at the same instant: a mutation made by a *later*
+  event at the same instant re-arms another flush.  Results are
   identical either way; the coalescing bounds the number of max-min
   passes per instant by the number of urgent batches, not by the number
   of flow mutations.
@@ -76,14 +76,15 @@ The flush and the completion wake-up are pushed as direct entries whose
 owners (one ``_CallbackShim`` for the flush, one ``_WakeShim`` for the
 wake-up, which reads its generation from the entry's trigger slot) live
 as long as the LAN, so neither allocates an event or closure per push.
-The flush is due now and URGENT, so it rides the kernel's same-instant
-lane.  Each entry takes the ``(time, priority, seq)`` key the
-``call_soon`` callback or ``Timeout`` it replaced would have taken, so
-firing order is unchanged.  The delivery stays a latency ``Timeout``:
-perfbench counts delivered transfers by its profiler site
-(``Timeout->LAN._finish...``).  It carries its flow as its value, and
-one bound method, ``_finish_delivery``, is every delivery's callback,
-so no closure is allocated per transfer.  LAN and kernel optimizations
+The flush is due now, so it rides the kernel's same-instant lane; the
+wake-up is scheduled ahead, so it goes on the heap.  Each entry takes
+the container and the ``(time, seq)`` key the ``call_soon`` callback or
+``Timeout`` it replaced would have taken, so firing order is unchanged.
+The delivery stays a latency ``Timeout``: perfbench counts delivered
+transfers by its profiler site (``Timeout->LAN._finish...``).  It
+carries its flow as its value, and one bound method,
+``_finish_delivery``, is every delivery's callback, so no closure is
+allocated per transfer.  LAN and kernel optimizations
 must also keep the *number* of pushes: ``Simulator.events_scheduled``
 is hashed into the federation digest (``ClusterShard.digest``), so
 cutting a push (delivering ``done`` without its latency ``Timeout``,
@@ -134,7 +135,7 @@ import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.obs.metrics import LAN_FLUSHES, LAN_TRANSFERS
-from repro.sim.kernel import NORMAL, Event, Simulator, Timeout, _CallbackShim
+from repro.sim.kernel import Event, Simulator, Timeout, _CallbackShim
 
 __all__ = ["NetworkInterface", "Flow", "LAN"]
 
@@ -464,7 +465,7 @@ class LAN:
                     next_completion = dt
         if next_completion < math.inf:
             self.sim._schedule_direct(
-                self._wake_shim, NORMAL, self.sim._now + next_completion, self._wake_generation
+                self._wake_shim, self.sim._now + next_completion, self._wake_generation
             )
 
     def _advance(self) -> None:

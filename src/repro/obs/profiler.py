@@ -2,8 +2,8 @@
 
 A :class:`KernelProfiler` installed on a
 :class:`~repro.sim.kernel.Simulator` (``sim.set_profiler(profiler)``)
-makes the kernel's run loops dispatch every heap entry through their
-profiled branch, which records, per *callback site*:
+makes the kernel's run loop dispatch every entry through its profiled
+branch, which records, per *callback site*:
 
 * how many events fired there, and
 * the wall-clock (host) time their callbacks consumed,
@@ -17,7 +17,7 @@ one row.
 The profiler measures **wall time only**; it never reads or writes
 simulated state, so a profiled run produces bit-identical simulation
 results (the determinism guard pins this).  With no profiler installed
-the loops take their allocation-free branch — the opt-in costs one
+the loop takes its allocation-free branch — the opt-in costs one
 ``is None`` check on a local per event.
 """
 
@@ -44,42 +44,34 @@ class SiteStats:
 class KernelProfiler:
     """Counts events and wall-time per callback site; tracks heap depth."""
 
-    def __init__(self, collapse_instances: bool = True):
+    def __init__(self) -> None:
         #: site -> SiteStats
         self.sites: Dict[str, SiteStats] = {}
         self.events_total = 0
         self.wall_s_total = 0.0
         self.heap_high_water = 0
-        self.collapse_instances = collapse_instances
         self._site_cache: Dict[str, str] = {}
 
     # -- kernel-facing API (called from the profiled branch) -----------------
-    def install(self, sim, reset: bool = False) -> "KernelProfiler":
+    def install(self, sim) -> "KernelProfiler":
         """Attach to ``sim``; subsequent runs take the profiled branch.
 
         Statistics **accumulate** across ``run(until=...)`` resumptions
         and re-installs — a federated shard advancing in epoch slices
-        profiles the whole run, not the last slice.  Pass ``reset=True``
-        (or call :meth:`reset`) to zero the site stats and heap
-        high-water explicitly.
+        profiles the whole run, not the last slice.  Call :meth:`reset`
+        to zero the site stats and heap high-water.
         """
-        if reset:
-            self.reset()
         sim.set_profiler(self)
         return self
 
     def record(self, site: str, wall_s: float) -> None:
-        """One dispatched heap entry at ``site`` costing ``wall_s``."""
-        if self.collapse_instances:
-            normalised = self._site_cache.get(site)
-            if normalised is None:
-                normalised = _INSTANCE_DIGITS.sub("N", site)
-                self._site_cache[site] = normalised
-            site = normalised
-        stats = self.sites.get(site)
+        """One dispatched entry at ``site`` costing ``wall_s``."""
+        normalised = self._site_cache.get(site)
+        if normalised is None:
+            normalised = self._site_cache[site] = _INSTANCE_DIGITS.sub("N", site)
+        stats = self.sites.get(normalised)
         if stats is None:
-            stats = SiteStats()
-            self.sites[site] = stats
+            stats = self.sites[normalised] = SiteStats()
         stats.events += 1
         stats.wall_s += wall_s
         self.events_total += 1

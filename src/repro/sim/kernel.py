@@ -1,12 +1,13 @@
 """Core discrete-event simulation kernel.
 
-A :class:`Simulator` owns a simulated clock and a binary heap of pending
-events.  Simulated activities are written as Python generators wrapped in
+A :class:`Simulator` owns a simulated clock and the pending events.
+Simulated activities are written as Python generators wrapped in
 :class:`Process`; a process advances by yielding :class:`Event` objects
 (most commonly :class:`Timeout`) and is resumed when the yielded event
-fires.  Events fire in ``(time, priority, sequence)`` order, so the
-simulation is deterministic: ties at the same timestamp are broken by
-scheduling order.
+fires.  At one timestamp, entries due at once (triggered events,
+bootstraps, resumes, interrupts, ``call_soon``) fire before the ones
+scheduled ahead for it (timeouts, ``schedule_at``), each group in
+scheduling order, so the simulation is deterministic.
 
 The API is a compact subset of SimPy's:
 
@@ -27,26 +28,24 @@ The kernel is the innermost loop of every experiment, so it avoids
 allocations where the event machinery is pure plumbing:
 
 * All event classes use ``__slots__``.
-* Pending entries live in two containers (see :class:`Simulator`): a
-  FIFO *lane* (a ``deque``) for entries due now with URGENT priority —
-  triggered events, bootstraps, interrupts, resumes after an
-  already-processed yield, ``call_soon`` — and a binary heap for
-  everything else.  About half of all entries are same-instant URGENT
-  ones, and the lane appends and pops them in constant time instead of
-  sifting them through the heap.  Every entry still takes the next
-  ``seq``, and the run loops take from the lane before the heap, so the
-  firing order is exactly ``(time, priority, seq)`` order.
-* Entries come in two shapes: a triggered event, ``(time, priority, seq,
-  event)``, and a *direct* entry, ``(time, priority, seq, None, owner,
-  trigger)``, which the run loop dispatches straight into
-  ``owner._resume(trigger)``.  A process has one resume body,
-  :meth:`Process._resume`, whether an event's callback or a direct entry
-  calls it.  A direct entry's trigger is the already-processed event the
-  process yielded, the shared already-succeeded sentinel (bootstraps,
-  callbacks), or an unscheduled failed :class:`Event` carrying the
-  :class:`Interrupt`; no throwaway event is ever scheduled.  Both shapes
-  share the ``(time, priority, seq)`` prefix and ``seq`` is unique, so
-  heap comparisons never reach the payload.
+* Pending entries live in two containers (see :class:`Simulator`), and
+  the container is the priority: a FIFO *lane* (a ``deque``) for entries
+  due now — triggered events, bootstraps, interrupts, resumes after an
+  already-processed yield, ``call_soon`` — and a binary heap for entries
+  scheduled ahead.  About half of all entries go on the lane, which
+  appends and pops them in constant time instead of sifting them through
+  the heap.  Every entry takes the next ``seq``, and dispatch takes from
+  the lane before the heap.
+* Entries come in two shapes: a triggered event, ``(time, seq, event)``,
+  and a *direct* entry, ``(time, seq, None, owner, trigger)``, which
+  dispatch sends straight into ``owner._resume(trigger)``.  A process has
+  one resume body, :meth:`Process._resume`, whether an event's callback
+  or a direct entry calls it.  A direct entry's trigger is the
+  already-processed event the process yielded, the shared
+  already-succeeded sentinel (bootstraps, callbacks), or an unscheduled
+  failed :class:`Event` carrying the :class:`Interrupt`; no throwaway
+  event is ever scheduled.  Both shapes share the ``(time, seq)`` prefix
+  and ``seq`` is unique, so heap comparisons never reach the payload.
 * :class:`Timeout`, :meth:`Event.succeed` and the :class:`Process`
   bootstrap push inline instead of going through a scheduling method.
 * A component that pushes the same callback over and over (the LAN's
@@ -55,12 +54,14 @@ allocations where the event machinery is pure plumbing:
   :meth:`Simulator._schedule_direct`.
 
 ``tests/sim/test_kernel_reference.py`` holds a plain reference
-simulator (one heap, one entry shape, no lane, no inlining) that this
-kernel must match event for event on random process programs.
+simulator (one heap keyed by ``(time, priority, seq)``, one entry
+shape, no lane, no inlining) that this kernel must match event for event
+on random process programs.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter as _perf_counter
@@ -77,13 +78,10 @@ __all__ = [
     "Simulator",
 ]
 
-# Event priorities: URGENT fires before NORMAL at the same timestamp.
-# Used internally so that e.g. resource releases propagate before new
-# timeouts scheduled at the same instant.
-URGENT = 0
-NORMAL = 1
-
 _INF = float("inf")
+# The run loop's default bound: an entry at ``inf`` never fires, so the
+# clock never reaches it.
+_FOREVER = sys.float_info.max
 
 
 class SimulationError(RuntimeError):
@@ -156,10 +154,10 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        # Inlined Simulator._schedule: due now, URGENT, so onto the lane.
+        # Inlined Simulator._schedule: due now, so onto the lane.
         sim = self.sim
         sim._seq += 1
-        sim._lane.append((sim._now, URGENT, sim._seq, self))
+        sim._lane.append((sim._now, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -187,6 +185,8 @@ class Event:
 _SUCCEEDED = Event(None)  # type: ignore[arg-type]
 _SUCCEEDED._ok = True
 _SUCCEEDED.callbacks = None
+# The stop condition of :meth:`Simulator.run`: an event never triggered.
+_NEVER = Event(None)  # type: ignore[arg-type]
 
 
 class Timeout(Event):
@@ -206,7 +206,7 @@ class Timeout(Event):
         self._ok = True
         self.delay = delay
         sim._seq += 1
-        _heappush(sim._heap, (sim._now + delay, NORMAL, sim._seq, self))
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
 
 
 class _Condition(Event):
@@ -313,7 +313,7 @@ class Process(Event):
         # Bootstrap: resume at the current instant via a direct entry
         # (Simulator._schedule_now, inlined).
         sim._seq += 1
-        sim._lane.append((sim._now, URGENT, sim._seq, None, self, _SUCCEEDED))
+        sim._lane.append((sim._now, sim._seq, None, self, _SUCCEEDED))
 
     @property
     def is_alive(self) -> bool:
@@ -343,7 +343,7 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with ``trigger``'s outcome.
 
-        The one resume body: an event's callback and a direct heap entry
+        The one resume body: an event's callback and a direct entry
         (bootstrap, interrupt, already-processed yield) both land here.
         """
         if self._ok is not None:
@@ -404,12 +404,12 @@ class Process(Event):
 class Simulator:
     """Owns the simulated clock and the pending entries.
 
-    Entries come in two shapes sharing the ``(time, priority, seq)``
-    prefix (``seq`` is unique, so comparisons never reach the payload):
+    Entries come in two shapes sharing the ``(time, seq)`` prefix
+    (``seq`` is unique, so comparisons never reach the payload):
 
-    * ``(time, priority, seq, event)`` — a triggered :class:`Event`
-      whose callbacks run at ``time``.
-    * ``(time, priority, seq, None, owner, trigger)`` — a direct entry:
+    * ``(time, seq, event)`` — a triggered :class:`Event` whose callbacks
+      run at ``time``.
+    * ``(time, seq, None, owner, trigger)`` — a direct entry:
       ``owner._resume(trigger)`` runs at ``time``.  A :class:`Process`
       owner resumes with the trigger's outcome; the trigger is the
       already-processed event it yielded, the shared already-succeeded
@@ -418,23 +418,21 @@ class Simulator:
       (:meth:`call_soon`, :meth:`schedule_at`) ignores the sentinel it
       is given; the LAN's wake-up owner reads its generation from it.
 
-    They wait in one of two containers.  An entry due now with URGENT
-    priority goes on the *lane*, a FIFO ``deque``; every other entry goes
-    on the heap.  Lane entries all carry the current time and URGENT
-    priority, and each takes the next ``seq``, so appending them keeps
-    the lane sorted by key: FIFO order is key order, and a lane entry
-    sorts before every heap entry except one keyed ``(now, URGENT)``
-    with a smaller ``seq``.  Such a heap entry exists only if it was
-    pushed for a future instant (``schedule_at(t, cb, URGENT)``, or
-    :meth:`_schedule_direct` at ``t > now``) and the clock has since
-    reached ``t``.  The clock moves only when a heap pop finds the lane
-    empty, so the future-URGENT rule is: when a heap pop yields an URGENT
-    entry, the heap's other URGENT entries at that instant move to the
-    lane before it dispatches (:meth:`_hoist_urgent`), ahead of anything
-    the instant pushes later.  No caller under ``src/`` makes such a push,
-    and the check costs one priority read per heap pop rather than a key
-    comparison per event.  The lane is empty whenever the clock moves and
-    after :meth:`run` returns.
+    They wait in one of two containers, and the container is the
+    priority.  An entry due now (a triggered event, a bootstrap, a
+    resume, an interrupt, :meth:`call_soon`) goes on the *lane*, a FIFO
+    ``deque``; an entry scheduled ahead (a :class:`Timeout`,
+    :meth:`schedule_at`, :meth:`_schedule_direct`) goes on the heap, even
+    when its time is now.  Dispatch takes from the lane before the heap,
+    so at one instant the lane's entries fire first, each container in
+    ``seq`` order.  Lane entries all carry the current time and each
+    takes the next ``seq``, so FIFO order is key order.  The clock moves
+    only when a heap pop finds the lane empty, so the lane is empty
+    whenever the clock moves and after :meth:`run` returns.
+
+    An entry at ``inf`` never fires: :meth:`run` and
+    :meth:`run_until_process` stop before it, and :meth:`step` treats it
+    as nothing pending, so the clock never reaches ``inf``.
 
     An exception escaping a process generator fails the Process event,
     and every process (or condition) waiting on it receives it.  A
@@ -454,8 +452,8 @@ class Simulator:
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Opt-in kernel profiler (duck-typed; see repro.obs.profiler).
-        # When None — the default — run()/run_until_process() take the
-        # allocation-free branch of their dispatch loops.
+        # When None — the default — the shared run loop (_loop) takes
+        # its allocation-free dispatch branch.
         self._profiler: Optional[Any] = None
 
     # -- clock ------------------------------------------------------------
@@ -491,12 +489,12 @@ class Simulator:
 
         The profiler is duck-typed — it needs ``record(site, wall_s)``
         and ``note_heap_depth(depth)`` — so the kernel stays free of
-        observability imports.  With a profiler installed, ``run()`` and
-        ``run_until_process()`` dispatch every event through
-        :meth:`_dispatch_profiled`, which times its callback site; the
-        profiler only *measures* (wall clock, pending depth: lane plus
-        heap), so simulation results are bit-identical either way.
-        ``step()`` is never profiled.
+        observability imports.  With a profiler installed, the run loop
+        that ``run()`` and ``run_until_process()`` share dispatches every
+        event through :meth:`_dispatch_profiled`, which times its callback
+        site; the profiler only *measures* (wall clock, pending depth:
+        lane plus heap), so simulation results are bit-identical either
+        way.  ``step()`` is never profiled.
         """
         self._profiler = profiler
 
@@ -521,55 +519,44 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event) -> None:
-        """Fire triggered ``event`` at this instant (URGENT, on the lane)."""
+        """Fire triggered ``event`` at this instant (on the lane)."""
         self._seq += 1
-        self._lane.append((self._now, URGENT, self._seq, event))
+        self._lane.append((self._now, self._seq, event))
 
     def _schedule_now(self, owner: Any, trigger: Any = _SUCCEEDED) -> None:
-        """Schedule ``owner._resume(trigger)`` at this instant, URGENT.
+        """Schedule ``owner._resume(trigger)`` at this instant (on the lane).
 
-        The lane push of a direct entry: it takes the next sequence
-        number and so sorts exactly where a :meth:`call_soon` made at
-        this point would.  Hot-path components (the LAN's flush) keep
-        one ``owner`` for their lifetime instead of allocating a shim
-        per push.
+        It takes the next sequence number and so sorts exactly where a
+        :meth:`call_soon` made at this point would.  Hot-path components
+        (the LAN's flush) keep one ``owner`` for their lifetime instead of
+        allocating a shim per push.
         """
         self._seq += 1
-        self._lane.append((self._now, URGENT, self._seq, None, owner, trigger))
+        self._lane.append((self._now, self._seq, None, owner, trigger))
 
-    def _schedule_direct(
-        self, owner: Any, priority: int, time: float, trigger: Any = _SUCCEEDED
-    ) -> None:
+    def _schedule_direct(self, owner: Any, time: float, trigger: Any = _SUCCEEDED) -> None:
         """Schedule ``owner._resume(trigger)`` at absolute time ``time``.
 
-        It takes the next sequence number, so at ``time == now + delay``
-        it sorts exactly where a :class:`Timeout` or :meth:`call_soon`
-        created at this point would.  An URGENT entry due now goes on the
-        lane; an URGENT entry for a later instant is the heap entry the
-        future-URGENT rule handles (see :class:`Simulator`).  Hot-path
-        components (the LAN's completion wake-up) keep one ``owner`` for
-        their lifetime.
+        It goes on the heap and takes the next sequence number, so at
+        ``time == now + delay`` it sorts exactly where a :class:`Timeout`
+        created at this point would.  Hot-path components (the LAN's
+        completion wake-up) keep one ``owner`` for their lifetime.
         """
-        if priority == URGENT and time == self._now:
-            self._schedule_now(owner, trigger)
-            return
         self._seq += 1
-        _heappush(self._heap, (time, priority, self._seq, None, owner, trigger))
+        _heappush(self._heap, (time, self._seq, None, owner, trigger))
 
     def call_soon(self, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` at the current instant with URGENT priority.
+        """Run ``callback()`` at the current instant, on the lane.
 
-        The callback fires in ``(time, priority, sequence)`` order like
-        any event, after everything urgent already scheduled.  Lets a
-        component coalesce several same-instant mutations into one pass
-        (the LAN's batched rate recomputation does this through
+        The callback fires after everything already due now and before
+        every entry scheduled ahead for this instant.  Lets a component
+        coalesce several same-instant mutations into one pass (the LAN's
+        batched rate recomputation does this through
         :meth:`_schedule_now` with an owner it reuses).
         """
         self._schedule_now(_CallbackShim(callback))
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], None], priority: int = NORMAL
-    ) -> None:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute simulated time ``time``.
 
         The pause/resume hook for sub-kernel drivers: ``run(until=H)``
@@ -577,35 +564,22 @@ class Simulator:
         stay on the heap), and ``schedule_at`` injects externally-sourced
         work — cross-shard message deliveries, epoch-barrier callbacks —
         at its exact timestamp before the next ``run(until=...)`` leg.
-        Injection order at equal ``(time, priority)`` is preserved by the
-        sequence counter, so callers control same-instant tie-breaking by
-        the order of their ``schedule_at`` calls.
+        The callback goes on the heap like a :class:`Timeout`, and the
+        sequence counter preserves injection order at equal times, so
+        callers control same-instant tie-breaking by the order of their
+        ``schedule_at`` calls.
         """
         if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"schedule_at({time}) is in the past (now={self._now})"
             )
-        self._schedule_direct(_CallbackShim(callback), priority, time)
+        self._schedule_direct(_CallbackShim(callback), time)
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
         if self._lane:
             return self._now
         return self._heap[0][0] if self._heap else _INF
-
-    def _hoist_urgent(self) -> None:
-        """Move the heap's URGENT entries at this instant onto the lane.
-
-        Called right after a heap pop yielded an URGENT entry, which only
-        a push for a future instant leaves on the heap.  The lane is empty
-        at a heap pop and these entries' sequence numbers precede every
-        push the instant will make, so the lane stays in key order.
-        """
-        heap = self._heap
-        now = self._now
-        lane = self._lane
-        while heap and heap[0][0] == now and heap[0][1] == URGENT:
-            lane.append(_heappop(heap))
 
     def _defer_callbacks(self, event: Event, rest: Iterable[Callable]) -> None:
         """Keep the callbacks after one of ``event``'s that raised.
@@ -618,10 +592,10 @@ class Simulator:
         rest = list(rest)
         if rest:
             owner = _DeferredCallbacks(event, rest)
-            self._lane.appendleft((self._now, URGENT, self._seq, None, owner, _SUCCEEDED))
+            self._lane.appendleft((self._now, self._seq, None, owner, _SUCCEEDED))
 
     def _fire(self, event: Event, callbacks: Iterable[Callable]) -> None:
-        """Run ``event``'s detached ``callbacks`` (the loops inline this)."""
+        """Run ``event``'s detached ``callbacks`` (:meth:`_loop` inlines this)."""
         callbacks = iter(callbacks)
         try:
             for callback in callbacks:
@@ -635,18 +609,16 @@ class Simulator:
         lane = self._lane
         if lane:
             entry = lane.popleft()
-        elif self._heap:
+        elif self._heap and self._heap[0][0] < _INF:
             entry = _heappop(self._heap)
             if entry[0] < self._now:
                 raise SimulationError("event scheduled in the past (kernel bug)")
             self._now = entry[0]
-            if not entry[1]:  # URGENT on the heap: the future-URGENT rule
-                self._hoist_urgent()
         else:
-            raise SimulationError("step() on an empty event heap")
-        target = entry[3]
+            raise SimulationError("step() with nothing that can fire")
+        target = entry[2]
         if target is None:
-            entry[4]._resume(entry[5])
+            entry[3]._resume(entry[4])
         else:
             callbacks = target.callbacks
             target.callbacks = None
@@ -656,29 +628,62 @@ class Simulator:
         """Run until nothing is pending, or the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly
-        ``until`` even if the last event fires earlier.
+        ``until`` even if the last event fires earlier.  It must be
+        finite: an entry at ``inf`` never fires, so no clock reaches it.
         """
-        # The dispatch loop is inlined (rather than calling step()) — it
-        # is the hottest couple of lines in the entire repository.
-        # Events cannot be scheduled in the past (delay >= 0 always), so
-        # the monotonicity assertion in step() is skipped here.
         if until is None:
-            limit = _INF
-        elif not until >= self._now:  # also rejects NaN
+            self._loop(_FOREVER, _NEVER)
+            return
+        if not until >= self._now:  # also rejects NaN
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        else:
-            limit = until
+        if until == _INF:
+            raise ValueError(f"until={until} is not finite")
+        self._loop(until, _NEVER)
+        self._now = until
+
+    def run_until_process(self, process: Process, limit: float = _INF) -> Any:
+        """Run until ``process`` completes; return its value.
+
+        Raises the process's exception if it failed, or
+        :class:`SimulationError` if nothing that can fire is pending
+        (deadlock) or the clock would pass ``limit`` before completion.
+        """
+        if limit != limit:  # NaN: no event time would ever exceed it
+            raise ValueError(f"limit={limit} is not a number")
+        # Lane entries are due now and the loop checks only heap entries
+        # against the limit, so a limit behind the clock stops here.
+        if limit >= self._now:
+            self._loop(min(limit, _FOREVER), process)
+        if process._ok is None:
+            if self.peek() == _INF:
+                raise SimulationError(
+                    f"deadlock: nothing can fire before process {process.name!r} finished"
+                )
+            raise SimulationError(
+                f"time limit {limit} exceeded waiting for process {process.name!r}"
+            )
+        return process.value
+
+    def _loop(self, limit: float, stop: Event) -> None:
+        """Dispatch entries until ``stop`` triggers, nothing is pending,
+        or the next heap entry is due after ``limit``.
+
+        The dispatch is inlined (rather than calling :meth:`step`): it is
+        the hottest couple of lines in the entire repository.  Entries are
+        never scheduled in the past (delay >= 0 always), so the
+        monotonicity check in :meth:`step` is skipped here.
+        """
         lane = self._lane
         popleft = lane.popleft
         heap = self._heap
         pop = _heappop
         profiler = self._profiler
-        while True:
+        while stop._ok is None:
             if lane:
-                # Due now, so never past ``until``, and the clock stays.
+                # Due now, so never past ``limit``, and the clock stays.
                 entry = popleft()
             elif heap:
-                # Pop, then push back the one entry past ``until``: a
+                # Pop, then push back the one entry past ``limit``: a
                 # compare on the popped time costs less per event than
                 # peeking at heap[0].  Keys are unique, so the firing
                 # order is unchanged.
@@ -686,16 +691,14 @@ class Simulator:
                 now = entry[0]
                 if now > limit:
                     _heappush(heap, entry)
-                    break
+                    return
                 self._now = now
-                if not entry[1]:  # URGENT on the heap: the future-URGENT rule
-                    self._hoist_urgent()
             else:
-                break
+                return
             if profiler is None:
-                target = entry[3]
+                target = entry[2]
                 if target is None:
-                    entry[4]._resume(entry[5])
+                    entry[3]._resume(entry[4])
                 else:
                     callbacks = iter(target.callbacks)
                     target.callbacks = None
@@ -708,72 +711,15 @@ class Simulator:
             else:
                 profiler.note_heap_depth(len(heap) + len(lane) + 1)  # depth before the pop
                 self._dispatch_profiled(entry, profiler)
-        if until is not None:
-            self._now = until
-
-    def run_until_process(self, process: Process, limit: float = _INF) -> Any:
-        """Run until ``process`` completes; return its value.
-
-        Raises the process's exception if it failed, or
-        :class:`SimulationError` if nothing is pending (deadlock) or the
-        clock passes ``limit`` before completion.
-        """
-        if limit != limit:  # NaN: no event time would ever exceed it
-            raise ValueError(f"limit={limit} is not a number")
-        lane = self._lane
-        popleft = lane.popleft
-        heap = self._heap
-        pop = _heappop
-        profiler = self._profiler
-        # Lane entries are due now, and the clock only moves to heap
-        # entries checked against ``limit`` below, so one check here
-        # covers every lane entry of the loop.
-        if self._now > limit and lane and process._ok is None:
-            raise SimulationError(
-                f"time limit {limit} exceeded waiting for process {process.name!r}"
-            )
-        while process._ok is None:
-            if lane:
-                entry = popleft()
-            elif heap:
-                if heap[0][0] > limit:
-                    raise SimulationError(
-                        f"time limit {limit} exceeded waiting for process {process.name!r}"
-                    )
-                entry = pop(heap)
-                self._now = entry[0]
-                if not entry[1]:  # URGENT on the heap: the future-URGENT rule
-                    self._hoist_urgent()
-            else:
-                raise SimulationError(
-                    f"deadlock: heap drained before process {process.name!r} finished"
-                )
-            if profiler is None:
-                target = entry[3]
-                if target is None:
-                    entry[4]._resume(entry[5])
-                else:
-                    callbacks = iter(target.callbacks)
-                    target.callbacks = None
-                    try:
-                        for callback in callbacks:
-                            callback(target)
-                    except BaseException:
-                        self._defer_callbacks(target, callbacks)
-                        raise
-            else:
-                profiler.note_heap_depth(len(heap) + len(lane) + 1)  # depth before the pop
-                self._dispatch_profiled(entry, profiler)
-        return process.value
 
     # -- profiled dispatch (opt-in; see set_profiler) -----------------------
     def _dispatch_profiled(self, entry: tuple, profiler: Any) -> None:
         """Dispatch one entry, timing it against its callback site."""
-        target = entry[3]
+        target = entry[2]
         if target is None:
-            owner = entry[4]
+            owner = entry[3]
             began = _perf_counter()
-            owner._resume(entry[5])
+            owner._resume(entry[4])
             elapsed = _perf_counter() - began
             name = getattr(owner, "name", None)
             if name is not None:

@@ -16,13 +16,6 @@ def test_record_aggregates_and_collapses_instance_digits():
     assert "call_soon:LAN._flush" in profiler.sites
 
 
-def test_collapse_can_be_disabled():
-    profiler = KernelProfiler(collapse_instances=False)
-    profiler.record("resume:worker-1", 0.1)
-    profiler.record("resume:worker-2", 0.1)
-    assert set(profiler.sites) == {"resume:worker-1", "resume:worker-2"}
-
-
 def test_heap_high_water_and_clear():
     profiler = KernelProfiler()
     for depth in (3, 9, 5):
@@ -100,7 +93,7 @@ def test_profiled_run_until_process():
 
 def test_install_accumulates_across_run_resumptions():
     """Epoch-style runs resume one sim with run(until=...) many times;
-    install() must keep accumulating unless reset is requested."""
+    install() must keep accumulating until reset() is called."""
     sim = Simulator()
     profiler = KernelProfiler().install(sim)
 
@@ -113,11 +106,12 @@ def test_install_accumulates_across_run_resumptions():
     after_first = profiler.events_total
     assert after_first > 0
     # A re-install between epochs (same sim or the next shard) keeps
-    # the statistics; only reset=True clears them.
+    # the statistics; only reset() clears them.
     profiler.install(sim)
     sim.run(until=6.0)
     assert profiler.events_total > after_first
-    profiler.install(sim, reset=True)
+    profiler.reset()
+    profiler.install(sim)
     assert profiler.events_total == 0
     sim.run(until=9.0)
     assert 0 < profiler.events_total <= after_first

@@ -56,6 +56,31 @@ def test_timeout_negative_delay_rejected():
     sim.timeout(float("inf"))  # an event that never fires is still valid
 
 
+def test_never_firing_entries_never_fire():
+    inf = float("inf")
+
+    def sleeper(sim):
+        yield sim.timeout(inf)
+
+    for sim in dispatch_sims():
+        fired = []
+        sim.timeout(inf).callbacks.append(fired.append)
+        sim.schedule_at(inf, lambda: fired.append("at"))
+        sim.run()
+        assert (sim.now, sim.peek(), fired) == (0.0, inf, [])
+        sim.run(until=5.0)  # the clock did not jump to inf
+        assert sim.now == 5.0
+        with pytest.raises(ValueError, match="not finite"):
+            sim.run(until=inf)
+        process = sim.process(sleeper(sim))
+        for limit in (inf, 10.0):
+            with pytest.raises(SimulationError, match="deadlock"):
+                sim.run_until_process(process, limit)
+        with pytest.raises(SimulationError):
+            sim.step()
+        assert (sim.now, sim.peek(), fired) == (5.0, inf, [])
+
+
 def test_timeout_carries_value():
     sim = Simulator()
     got = []
@@ -231,7 +256,7 @@ def test_waiters_behind_a_raising_waiter_resume_on_the_next_run(drive, profiled)
     # Two processes wait on one gate and the first raises, unawaited,
     # when it opens: the failure escapes from the gate's callback loop.
     # The second waiter is not lost; it resumes on the next run, at the
-    # same instant, ahead of the NORMAL timeout due then.
+    # same instant, ahead of the timeout due then.
     sim = Simulator()
     if profiled:
         KernelProfiler().install(sim)
@@ -541,7 +566,7 @@ def pinned_program(sim):
     target = sim.process(sleeper(sim), name="sleeper")
     sim.process(interrupter(sim, target), name="interrupter")
     blocked = sim.process(waiter(sim), name="waiter")
-    sim.schedule_at(0.5, lambda: blocked.interrupt("early"), priority=0)
+    sim.schedule_at(0.5, lambda: blocked.interrupt("early"))
     sim.run(until=1.0)
     log.append(("leg", sim.now))
     sim.schedule_at(1.5, lambda: log.append(("at", sim.now)))

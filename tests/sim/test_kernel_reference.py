@@ -1,15 +1,15 @@
 """The event kernel against a plain reference simulator, event for event.
 
-``Simulator`` is hand-inlined for speed: a FIFO lane beside its heap,
-two entry shapes, a run loop per entry point and a profiled dispatch
-branch.  ``RefSimulator`` below states the same documented semantics
-with none of that: one heap ordered by ``(time, priority, seq)``, one
-entry shape (a zero-argument action), and one dispatch,
-:meth:`RefSimulator._step`.
+``Simulator`` is hand-inlined for speed: a FIFO lane beside its heap
+(the container is the priority), two entry shapes, one run loop shared
+by ``run`` and ``run_until_process`` and a profiled dispatch branch.
+``RefSimulator`` below states the same documented semantics with none
+of that: one heap ordered by ``(time, priority, seq)``, one entry shape
+(a zero-argument action), and one dispatch, :meth:`RefSimulator._step`.
 
 * Same-instant entries fire in ``(time, priority, seq)`` order; URGENT
   (triggered events, bootstraps, resumes, interrupts, ``call_soon``)
-  before NORMAL (timeouts).
+  before NORMAL (timeouts, ``schedule_at``).
 * A process resumes when the event it yielded is processed, or at once
   (as a new URGENT entry) if that event was already processed.
 * ``interrupt`` detaches the process from a pending event and queues an
@@ -20,22 +20,29 @@ entry shape (a zero-argument action), and one dispatch,
   leaves an event's callback loop, the callbacks after the one that
   raised run first on the next dispatch, at the same instant, in order.
 * ``AnyOf``/``AllOf`` consume already-processed constituents at once.
+* An entry at ``inf`` never fires: it is not dispatched, and a process
+  that can only be woken by one is deadlocked.
 
 A hypothesis strategy builds random process programs.  Each program runs
-on both simulators through every entry point of the kernel, and the two
-``(time, process, action, value)`` logs, final clocks and heap-push
-counts must be equal.
+on both simulators through every entry point of the kernel, from a
+start at t = 0 or parked at t = 1e9, and the two ``(time, process,
+action, value)`` logs, final clocks and heap-push counts must be equal.
 """
 
 import heapq
 import math
+import sys
 from functools import partial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.profiler import KernelProfiler
-from repro.sim.kernel import NORMAL, URGENT, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import Interrupt, SimulationError, Simulator
+
+# The reference orders same-instant entries by an explicit priority.
+URGENT, NORMAL = 0, 1
+FOREVER = sys.float_info.max  # the largest time an entry can fire at
 
 
 class RefEvent:
@@ -204,26 +211,27 @@ class RefSimulator:
     def call_soon(self, callback):
         self._push(self.now, URGENT, callback)
 
-    def schedule_at(self, time, callback, priority=NORMAL):
-        self._push(time, priority, callback)
+    def schedule_at(self, time, callback):
+        self._push(time, NORMAL, callback)
 
     def peek(self):
         return self.heap[0][0] if self.heap else math.inf
 
     def step(self):
-        if not self.heap:
-            raise SimulationError("step() on an empty event heap")
+        if self.peek() == math.inf:
+            raise SimulationError("step() with nothing that can fire")
         self._step()
 
     def run(self, until=None):
-        while self.heap and (until is None or self.heap[0][0] <= until):
+        bound = FOREVER if until is None else until
+        while self.heap and self.heap[0][0] <= bound:
             self._step()
         if until is not None:
             self.now = until
 
     def run_until_process(self, process, limit=math.inf):
         while process.ok is None:
-            if not self.heap:
+            if self.peek() == math.inf:
                 raise SimulationError("deadlock")
             if self.heap[0][0] > limit:
                 raise SimulationError("time limit exceeded")
@@ -235,7 +243,7 @@ class RefSimulator:
 
 # A program is plain data, interpreted against either simulator.  Indices
 # (events, children, interrupt targets) are taken modulo what exists.
-_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, math.inf])
 _ACTION = st.one_of(
     st.none(),
     st.tuples(st.just("fire"), st.integers(0, 3), st.booleans()),
@@ -254,7 +262,7 @@ _OP = st.one_of(
     st.tuples(st.just("spawn"), st.integers(0, 2), st.booleans()),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("soon"), _ACTION),
-    st.tuples(st.just("at"), _DELAYS, st.sampled_from([URGENT, NORMAL]), _ACTION),
+    st.tuples(st.just("at"), _DELAYS, _ACTION),
     st.tuples(st.just("raise")),
     st.tuples(st.just("junk")),
 )
@@ -271,10 +279,13 @@ DRIVES = st.one_of(
     st.tuples(
         st.just("legs"),
         st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5]), min_size=1, max_size=3),
-        st.lists(st.tuples(_DELAYS, st.sampled_from([URGENT, NORMAL])), max_size=2),
+        st.lists(_DELAYS, max_size=2),
     ),
     st.tuples(st.just("until_process"), st.sampled_from([math.inf, 0.0, 1.0, 2.5])),
 )
+# Where both simulators park before the program starts.  No kernel time
+# tolerance is absolute, so a program runs the same far from t = 0.
+OFFSETS = st.sampled_from([0.0, 1e9])
 
 
 def describe(exc):
@@ -289,8 +300,9 @@ def describe(exc):
 class Interpreter:
     """Runs one program on one simulator and logs what happens."""
 
-    def __init__(self, sim, program):
-        self.sim, self.program = sim, program
+    def __init__(self, sim, program, offset=0.0):
+        sim.run(until=offset)
+        self.sim, self.program, self.offset = sim, program, offset
         self.log = []
         self.labels = {}
         self.events = [self.label(sim.event(), f"e{k}") for k in range(program["events"])]
@@ -359,8 +371,8 @@ class Interpreter:
         if kind == "soon":
             sim.call_soon(partial(self.callback, f"{name}.{index}", op[1]))
         elif kind == "at":
-            callback = partial(self.callback, f"{name}.{index}", op[3])
-            sim.schedule_at(sim.now + op[1], callback, op[2])
+            callback = partial(self.callback, f"{name}.{index}", op[2])
+            sim.schedule_at(sim.now + op[1], callback)
         else:
             self.act(name, op)
         return None
@@ -401,17 +413,16 @@ class Interpreter:
                 except Exception as exc:
                     self.note("run", "escape", describe(exc))
         elif mode == "legs":
-            injections = drive[2] + [(None, None)] * len(drive[1])
-            for horizon, (delay, priority) in zip(sorted(drive[1]), injections):
-                self.attempt(partial(sim.run, until=max(horizon, sim.now)))
+            injections = drive[2] + [None] * len(drive[1])
+            for horizon, delay in zip(sorted(drive[1]), injections):
+                self.attempt(partial(sim.run, until=max(self.offset + horizon, sim.now)))
                 self.note("run", "leg")
                 if delay is not None:
-                    callback = partial(self.callback, "inject", None)
-                    sim.schedule_at(sim.now + delay, callback, priority)
+                    sim.schedule_at(sim.now + delay, partial(self.callback, "inject", None))
                 # ClusterShard.quiet() parks like this and asks peek().
                 self.note("run", "peek", sim.peek())
         elif mode == "until_process":
-            self.join(self.processes[0], drive[1])
+            self.join(self.processes[0], self.offset + drive[1])
         self.attempt(sim.run)
         return self.log, sim.now, sim.events_scheduled
 
@@ -428,14 +439,14 @@ class Interpreter:
                 return
 
 
-def both(program, drive, profiled=False):
+def both(program, drive, profiled=False, offset=0.0):
     """The outcome of ``program`` on the kernel and on the reference."""
     sim = Simulator()
     if profiled:
         KernelProfiler().install(sim)
-    real = Interpreter(sim, program).drive(drive)
+    real = Interpreter(sim, program, offset).drive(drive)
     assert not sim._lane  # drive() ends with a run() that returned
-    reference = Interpreter(RefSimulator(), program).drive(drive)
+    reference = Interpreter(RefSimulator(), program, offset).drive(drive)
     return real, reference
 
 
@@ -455,27 +466,20 @@ STALE_INTERRUPT = {
 SAME_INSTANT = {
     "events": 2,
     "roots": [
-        [("soon", None), ("at", 0.0, NORMAL, None), ("sleep", 0.0), ("fire", 0, True)],
-        [("at", 1.0, URGENT, ("fire", 1, False)), ("wait", 0), ("spawn", 0, False)],
+        [("soon", None), ("at", 0.0, None), ("sleep", 0.0), ("fire", 0, True)],
+        [("at", 1.0, ("fire", 1, False)), ("wait", 0), ("spawn", 0, False)],
         [("any", [1, 2.0]), ("all", [0, 0.5])],
     ],
     "children": [[("sleep", 0.0), ("interrupt", 2), ("raise",)]],
 }
-# Two URGENT callbacks pushed for t=1; the first calls call_soon.  The
-# second was pushed first, so it fires before the call_soon callback.
-FUTURE_URGENT = {
-    "events": 1,
-    "roots": [[("at", 1.0, URGENT, ("soon",)), ("at", 1.0, URGENT, None)]],
-    "children": [[]],
-}
-# A leg parks at t=0.5, a URGENT callback is injected at the parked
-# instant, and peek() must see it although the next timeout is at t=2.
+# A leg parks at t=0.5, a callback is injected at the parked instant,
+# and peek() must see it although the next timeout is at t=2.
 PARKED_PEEK = {
     "events": 1,
     "roots": [[("sleep", 2.0)]],
     "children": [[]],
 }
-PARKED_PEEK_DRIVE = ("legs", [0.5], [(0.0, URGENT)])
+PARKED_PEEK_DRIVE = ("legs", [0.5], [0.0])
 # Two processes wait on one gate; the first raises when it opens, so
 # the failure escapes run() from the gate's callback loop.
 RAISING_WAITER = {
@@ -490,17 +494,15 @@ RAISING_WAITER = {
 
 
 @settings(deadline=None)
-@given(program=PROGRAMS, drive=DRIVES, profiled=st.booleans())
-@example(program=STALE_INTERRUPT, drive=("run",), profiled=False)
-@example(program=SAME_INSTANT, drive=("run",), profiled=True)
-@example(program=SAME_INSTANT, drive=("legs", [0.5, 1.0], [(0.5, NORMAL)]), profiled=False)
-@example(program=FUTURE_URGENT, drive=("run",), profiled=False)
-@example(program=FUTURE_URGENT, drive=("step",), profiled=True)
-@example(program=PARKED_PEEK, drive=PARKED_PEEK_DRIVE, profiled=False)
-@example(program=RAISING_WAITER, drive=("run",), profiled=False)
-@example(program=RAISING_WAITER, drive=("until_process", math.inf), profiled=True)
-def test_kernel_matches_reference_event_for_event(program, drive, profiled):
-    real, reference = both(program, drive, profiled)
+@given(program=PROGRAMS, drive=DRIVES, profiled=st.booleans(), offset=OFFSETS)
+@example(program=STALE_INTERRUPT, drive=("run",), profiled=False, offset=0.0)
+@example(program=SAME_INSTANT, drive=("run",), profiled=True, offset=0.0)
+@example(program=SAME_INSTANT, drive=("legs", [0.5, 1.0], [0.5]), profiled=False, offset=1e9)
+@example(program=PARKED_PEEK, drive=PARKED_PEEK_DRIVE, profiled=False, offset=0.0)
+@example(program=RAISING_WAITER, drive=("run",), profiled=False, offset=0.0)
+@example(program=RAISING_WAITER, drive=("until_process", math.inf), profiled=True, offset=0.0)
+def test_kernel_matches_reference_event_for_event(program, drive, profiled, offset):
+    real, reference = both(program, drive, profiled, offset)
     assert real == reference
 
 
@@ -508,12 +510,10 @@ def test_hand_built_programs_reach_their_cases():
     (log, _, _), _ = both(STALE_INTERRUPT, ("run",))
     assert (0.0, "p1", "interrupt", "p0") in log
     assert not any(entry[0:3] == (0.0, "p0", "caught") for entry in log)
-    (log, now, _), _ = both(SAME_INSTANT, ("legs", [0.5, 1.0], [(0.5, NORMAL)]))
+    (log, now, _), _ = both(SAME_INSTANT, ("legs", [0.5, 1.0], [0.5]))
     actions = {entry[2] for entry in log}
     assert {"callback", "fire", "interrupt", "caught", "escape", "leg", "woke"} <= actions
     assert now == 2.0
-    (log, _, _), _ = both(FUTURE_URGENT, ("run",))
-    assert [entry[1] for entry in log if entry[2] == "callback"] == ["p0.0", "p0.1", "p0.0.soon"]
     (log, _, _), _ = both(PARKED_PEEK, PARKED_PEEK_DRIVE)
     assert (0.5, "run", "peek", 0.5) in log
     (log, _, _), _ = both(RAISING_WAITER, ("run",))

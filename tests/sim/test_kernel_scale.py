@@ -40,7 +40,7 @@ def test_call_soon_fifo_when_enqueued_from_callbacks():
 
 
 def test_call_soon_runs_before_same_instant_timeouts():
-    # URGENT callbacks sort ahead of NORMAL events at one timestamp.
+    # Lane callbacks fire ahead of heap events at one timestamp.
     sim = Simulator()
     order = []
 
