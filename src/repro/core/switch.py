@@ -354,6 +354,7 @@ class ServiceSwitch:
                     response, error = proc.value
                 if error is None:
                     self._served(started, response, owned)
+                    failure = None  # an earlier attempt's: see the raise below
                     return response
                 failure = error
                 tried.add(backend.name)
@@ -386,7 +387,14 @@ class ServiceSwitch:
         if any_dispatched:
             self.rejected += 1
         self._refused("failed", segment, owned)
-        raise failure
+        try:
+            raise failure
+        finally:
+            # A traceback through this generator holds its frame, so a
+            # local still naming the failure (or the attempt that
+            # returned it) would tie both into a cycle that only the
+            # cyclic GC frees.  Drop them as it leaves.
+            failure = error = proc = None
 
     def _forward(self, backend: VirtualServiceNode, segment) -> Generator[Event, Any, None]:
         """Forward a request to ``backend`` over the LAN (loopback when

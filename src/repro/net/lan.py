@@ -44,9 +44,10 @@ and batched:
   scan of the wire group; the cap-only fill below needs no tables.
 * Bottleneck groups are recomputed selectively: loopback flows form
   singleton groups whose rate is ``min(cap, loopback)`` independent of
-  every other flow, and the wire group (all flows sharing the LAN
-  segment) is only re-filled when a *wire* flow arrives, departs, or
-  changes cap — loopback churn never triggers a max-min pass.
+  every other flow (assigned in the flush's completion scan), and the
+  wire group (all flows sharing the LAN segment) is only re-filled
+  when a *wire* flow arrives, departs, or changes cap — loopback churn
+  never triggers a max-min pass.
 
 Cap-only fill
 -------------
@@ -70,6 +71,20 @@ switches the next flush back to the NIC-aware pass.  The fill is
 scalar for every group size: a NumPy fill of wide groups never beat it
 (MODELING.md §9).
 
+Most cap-only fills end in their first round: every flow's
+``min(cap, segment share)`` lies within ``_EPS`` of the smallest (no
+cap below the share, or all flows capped alike), so round 1 fixes every
+flow at that limit.  The pass checks this with one scan that computes
+round 1's limits, assigns them as rates and tracks the smallest and the
+largest; when the largest is within ``_EPS`` of the smallest it returns
+without the round loop's ``_fixed``/``_limit`` scratch state.  The
+rates are bit-identical: round 1 computes the same share
+``lan_residual / lan_count`` from the same operands, takes the same
+``min`` per flow, compares against the same ``bottleneck + _EPS``
+threshold and assigns each fixed flow exactly its limit; the segment
+subtractions it would make afterwards feed no later round.  Otherwise
+the round loop runs from the start and overwrites every rate.
+
 Heap entries
 ------------
 The flush and the completion wake-up are pushed as direct entries whose
@@ -84,7 +99,8 @@ The delivery stays a latency ``Timeout``: perfbench counts delivered
 transfers by its profiler site (``Timeout->LAN._finish...``).  It
 carries its flow as its value, and one bound method,
 ``_finish_delivery``, is every delivery's callback, so no closure is
-allocated per transfer.  LAN and kernel optimizations
+allocated per transfer.  The flow's ``done`` then fires with no value
+(see :class:`Flow`).  LAN and kernel optimizations
 must also keep the *number* of pushes: ``Simulator.events_scheduled``
 is hashed into the federation digest (``ClusterShard.digest``), so
 cutting a push (delivering ``done`` without its latency ``Timeout``,
@@ -168,15 +184,18 @@ class NetworkInterface:
 class Flow:
     """One in-flight transfer.
 
-    ``done`` fires (with the flow itself as value) when the last byte has
-    arrived at the destination, i.e. after the data has drained plus one
-    propagation latency.
+    ``done`` fires when the last byte has arrived at the destination,
+    i.e. after the data has drained plus one propagation latency.  It
+    fires with no value: every waiter already holds the flow, and a
+    ``done`` whose value is its own flow would tie the two into a cycle,
+    so a finished flow would wait for the cyclic GC instead of dying by
+    refcount when its last user drops it (MODELING.md §10).
     """
 
     __slots__ = (
         "lan", "src", "dst", "size_mb", "remaining_mb", "rate_cap_mbps",
         "label", "rate_mbs", "started_at", "finished_at", "done",
-        "_cap_mbs", "_loopback", "_fixed", "_limit",
+        "_cap_mbs", "_loopback", "_fixed", "_limit", "__weakref__",
     )
 
     def __init__(
@@ -445,19 +464,20 @@ class LAN:
             registry.series[LAN_FLUSHES].inc()
         if self.sim._now > self._last_update:
             self._advance()
-        if self._loopback_dirty:
-            self._loopback_dirty = False
-            for flow in self._flows:
-                if flow._loopback:
-                    flow.rate_mbs = min(flow._cap_mbs, _LOOPBACK_RATE_MBS)
         if self._wire_dirty:
             self._wire_dirty = False
             self._compute_wire_rates()
         # Arm a wake-up at the next flow-completion instant; any wake-up
-        # armed earlier is superseded by the generation bump.
+        # armed earlier is superseded by the generation bump.  The same
+        # scan assigns loopback rates (singleton groups, independent of
+        # the wire fill) when a loopback flow arrived or changed cap.
         self._wake_generation += 1
+        loopback_dirty = self._loopback_dirty
+        self._loopback_dirty = False
         next_completion = math.inf
         for flow in self._flows:
+            if loopback_dirty and flow._loopback:
+                flow.rate_mbs = min(flow._cap_mbs, _LOOPBACK_RATE_MBS)
             rate = flow.rate_mbs
             if rate > 0:
                 dt = flow.remaining_mb / rate
@@ -513,7 +533,7 @@ class LAN:
         """Deliver the last byte after one propagation latency."""
         flow.finished_at = self.sim._now + self.latency_s
         if self.latency_s == 0:
-            flow.done.succeed(flow)
+            flow.done.succeed()
         else:
             # A Timeout, not a direct entry: perfbench counts delivered
             # transfers by the profiler site "Timeout->LAN._finish...".
@@ -522,8 +542,7 @@ class LAN:
 
     def _finish_delivery(self, delivery: Timeout) -> None:
         """The latency has passed: fire the done event of the flow it carries."""
-        flow = delivery._value
-        flow.done.succeed(flow)
+        delivery._value.done.succeed()
 
     def _compute_wire_rates(self) -> None:
         """Progressive-filling max-min fairness over the wire group.
@@ -538,7 +557,8 @@ class LAN:
         and no fault is armed, no NIC share can undercut the segment
         share, so the rounds skip the NIC terms (and their tables) and
         reduce to a water-fill over the caps — bit-identical rates, as
-        the module docstring argues.
+        the module docstring argues.  When round 1 would fix every flow,
+        one pass assigns the rates and the round loop never runs.
         """
         wire = self._wire
         if not wire:
@@ -570,6 +590,25 @@ class LAN:
                         residual[nic] = nic.rate_mbs
         lan_residual = self.bandwidth_mbps / 8.0
         lan_count = len(wire)
+        if not nic_terms:
+            # One-pass fill: round 1's limits, assigned as computed.  If
+            # they all lie within _EPS of the smallest, round 1 fixes
+            # every flow at its limit and the fill is done; otherwise
+            # the rounds below overwrite every rate.
+            lan_share = lan_residual / lan_count
+            lowest = math.inf
+            highest = 0.0
+            for flow in wire:
+                limit = flow._cap_mbs
+                if lan_share < limit:
+                    limit = lan_share
+                flow.rate_mbs = limit
+                if limit < lowest:
+                    lowest = limit
+                if limit > highest:
+                    highest = limit
+            if highest <= lowest + _EPS:
+                return
         for flow in wire:
             flow._fixed = False
         unfixed = len(wire)

@@ -108,7 +108,11 @@ class WanTransferDescriptor:
 
 
 class WanTransfer:
-    """One cross-LAN transfer; ``done`` fires when the last byte lands."""
+    """One cross-LAN transfer; ``done`` fires when the last byte lands.
+
+    Like :class:`~repro.net.lan.Flow`'s, ``done`` fires with no value,
+    so the transfer and its event form no cycle.
+    """
 
     def __init__(self, link: "WanLink", flow_a: Flow, flow_b: Flow):
         self.link = link
@@ -274,11 +278,11 @@ class WanLink:
             if self.latency_s > 0:
                 delay = self.sim.timeout(self.latency_s)
                 delay.callbacks.append(
-                    lambda _ev: (_set_finished(), transfer.done.succeed(transfer))
+                    lambda _ev: (_set_finished(), transfer.done.succeed())
                 )
             else:
                 _set_finished()
-                transfer.done.succeed(transfer)
+                transfer.done.succeed()
 
         def _set_finished() -> None:
             transfer.finished_at = self.sim.now

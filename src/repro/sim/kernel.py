@@ -369,6 +369,11 @@ class Process(Event):
             self._resume_cb = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            # The traceback's first entry is this frame, which names the
+            # process that now holds the exception: drop it, so a failed
+            # process dies by refcount instead of waiting for the cyclic
+            # GC.  The generator's own frames stay.
+            exc.__traceback__ = exc.__traceback__.tb_next
             unawaited = not self.callbacks
             self.fail(exc)
             if unawaited:

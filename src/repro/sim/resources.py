@@ -16,7 +16,12 @@ __all__ = ["Resource"]
 
 
 class _Request(Event):
-    """Event handed to a waiter; fires when the resource is acquired."""
+    """Event handed to a waiter; fires when the resource is acquired.
+
+    It fires with no value: the waiter already holds the request (it
+    must hand it back to :meth:`Resource.release`), and a request whose
+    value is itself would be a cycle that only the cyclic GC frees.
+    """
 
     __slots__ = ("resource",)
 
@@ -41,6 +46,11 @@ class _Request(Event):
 
 class Resource:
     """Counted semaphore with FIFO queuing.
+
+    :meth:`request` returns a slot (a :class:`_Request`) that fires,
+    with no value, once granted; the holder keeps it and passes it to
+    :meth:`release`.  A released slot is freed by refcount as soon as
+    its holder drops it.
 
     >>> sim = Simulator()
     >>> cpu = Resource(sim, capacity=1)
@@ -76,7 +86,7 @@ class Resource:
         users = self.users
         if len(users) < self.capacity:
             users.append(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self.queue.append(req)
         return req
@@ -113,5 +123,5 @@ class Resource:
         while self.queue and len(self.users) < self.capacity:
             nxt = self.queue.popleft()
             self.users.append(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 

@@ -11,7 +11,7 @@ the kernel's heap-push count and the profiler's LAN callback sites.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.lan import LAN
@@ -68,6 +68,9 @@ def run_fill_scenario(bandwidth, nic_factors, specs, new_bandwidth, nic_aware):
     return fills, finished, sim.events_scheduled
 
 
+SEGMENT_NICS = [1.0] * 6
+
+
 @given(
     bandwidth=st.sampled_from([10.0, 100.0, 333.3]),
     nic_factors=st.lists(
@@ -76,7 +79,17 @@ def run_fill_scenario(bandwidth, nic_factors, specs, new_bandwidth, nic_aware):
     specs=st.lists(flow_spec, min_size=1, max_size=14),
     shrink=st.floats(min_value=0.1, max_value=1.0),
 )
-@settings(max_examples=80, deadline=None)
+# One round, one pass: every cap at or above the segment share.
+@example(100.0, SEGMENT_NICS, [(0.0, 0, 1, 1.0, None), (0.0, 2, 3, 1.0, 400.0),
+                               (0.0, 4, 5, 1.0, 200.0)], 1.0)
+# One round, one pass: a lone flow whose cap is below the share.
+@example(100.0, SEGMENT_NICS, [(0.0, 0, 1, 1.0, 8.0)], 1.0)
+# A binding cap: round 1 fixes the capped flow, round 2 the others.
+@example(100.0, SEGMENT_NICS, [(0.0, 0, 1, 1.0, None), (0.0, 2, 3, 1.0, 8.0),
+                               (0.0, 4, 5, 1.0, None)], 1.0)
+# The budget comes from the hypothesis profile (CI's kernel job runs
+# ``deep``), never below tier-1's 80 examples.
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 def test_cap_only_fill_matches_nic_aware_fill_exactly(
     bandwidth, nic_factors, specs, shrink
 ):
@@ -100,6 +113,43 @@ def test_cap_only_fill_matches_through_guard_flips():
     fast = run_fill_scenario(100.0, factors, specs, 150.0, False)
     general = run_fill_scenario(100.0, factors, specs, 150.0, True)
     assert fast == general
+
+
+# -- the one-pass fill --------------------------------------------------------
+#
+# The round loop resets every wire flow's ``_fixed`` flag before its
+# first round; the one-pass branch never touches it.  A sentinel left in
+# the flag is the spy that tells the two apart.
+
+UNTOUCHED = "untouched"
+
+
+def spied_fill(caps):
+    """Rates of one fill over simultaneous flows, and whether the rounds ran."""
+    sim = Simulator()
+    lan = LAN(sim, bandwidth_mbps=100.0, latency_s=0.0)
+    nics = [lan.nic(f"h{i}", 100.0) for i in range(2 * len(caps))]
+    flows = [
+        lan.transfer(nics[2 * i], nics[2 * i + 1], 10.0, rate_cap_mbps=cap)
+        for i, cap in enumerate(caps)
+    ]
+    for flow in flows:
+        flow._fixed = UNTOUCHED
+    sim.run(until=0.001)
+    rounds_ran = any(flow._fixed is not UNTOUCHED for flow in flows)
+    return [flow.rate_mbs for flow in flows], rounds_ran
+
+
+def test_one_round_fill_takes_the_one_pass_branch():
+    rates, rounds_ran = spied_fill([None, 400.0, 200.0])
+    assert rates == [12.5 / 3] * 3
+    assert not rounds_ran
+
+
+def test_binding_cap_takes_the_round_loop():
+    rates, rounds_ran = spied_fill([None, 8.0, None])
+    assert rates == [11.5 / 2, 1.0, 11.5 / 2]
+    assert rounds_ran
 
 
 # -- the guard ---------------------------------------------------------------

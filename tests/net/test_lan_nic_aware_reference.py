@@ -193,7 +193,9 @@ def run_program(lan_class, bandwidth, factors, ops):
     factors=st.lists(st.sampled_from([0.2, 0.5, 1.0, 1.0, 2.0]), min_size=4, max_size=6),
     ops=st.lists(op, min_size=1, max_size=30),
 )
-@settings(max_examples=150, deadline=None)
+# The budget comes from the hypothesis profile (CI's kernel job runs
+# ``deep``), never below tier-1's 150 examples.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_nic_aware_fill_matches_nic_set_reference(bandwidth, factors, ops):
     assert run_program(LAN, bandwidth, factors, ops) == run_program(
         NicSetLAN, bandwidth, factors, ops
